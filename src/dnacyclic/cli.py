@@ -72,8 +72,10 @@ def _load_spec(text):
     if not raw.startswith("{"):
         raw = Path(raw).read_text(encoding="utf-8")
     spec = json.loads(raw)
+    if not isinstance(spec, dict):
+        raise ValueError("spec must be a JSON object")
     n = spec.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("spec field 'n' must be a positive integer")
     gens = spec.get("generators", [])
     if not isinstance(gens, list):
@@ -84,9 +86,11 @@ def _load_spec(text):
         if not isinstance(entry, dict):
             raise ValueError("each generator must be an object with "
                              "'f2', 'u', 'u2' polynomial strings")
-        f1 = polyf2.from_text(entry.get("f2", "0"))
-        f2 = polyf2.from_text(entry.get("u", "0"))
-        f3 = polyf2.from_text(entry.get("u2", "0"))
+        layers = [entry.get(key, "0") for key in ("f2", "u", "u2")]
+        if not all(isinstance(t, str) for t in layers):
+            raise ValueError("generator fields 'f2', 'u', 'u2' must be "
+                             "polynomial strings")
+        f1, f2, f3 = (polyf2.from_text(t) for t in layers)
         triples.append((f1, f2, f3))
         words.append(RingWord.from_polys(n, f1, f2, f3))
     return n, words, triples
@@ -148,7 +152,7 @@ def _cmd_check(args):
     return 0 if satisfied else 1
 
 
-def _search_candidates(n, cap):
+def _search_candidates(n):
     """Yield (g, p1, p2, a2_or_None) structural candidates for even n."""
     divisors = polyf2.divisors_of_xn1(n)
     for g in divisors:
@@ -172,7 +176,7 @@ def _cmd_search(args):
     truncated = False
     configs = 0
     seen = {}
-    for g, p1, p2, a2 in _search_candidates(n, cap):
+    for g, p1, p2, a2 in _search_candidates(n):
         configs += 1
         if configs > args.max_configs:
             truncated = True

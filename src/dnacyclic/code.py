@@ -15,9 +15,14 @@ The ideal generated by a set of words equals the GF(2) span of
 {u^j * x^i * w}, because R itself is the GF(2) span of {1, u, u^2}; this
 reduces all module arithmetic to bit linear algebra.
 
-Codes are immutable after construction.  The enumeration, distance and
-closure oracles walk all 2^dim codewords and are guarded by a
-configurable dimension cap.
+Codes are immutable after construction.  Closure and distance are exact
+decisions on the basis: reversal is GF(2)-linear, so the code is
+reversible exactly when each basis row's reversal reduces to zero;
+complement is translation by the all-u^2 word, so closure under it is
+membership of that word; and the minimum Hamming distance equals that
+of the u^2-subcode (the socle), whose at most 2^n words are walked.
+Enumeration, distance and closure are guarded by a configurable
+dimension cap.
 """
 
 from __future__ import annotations
@@ -25,25 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import polyf2
 from .polyf2 import CapExceeded
-from .polyr import RingWord, bit_reverse
+from .polyr import RingWord
 
 DEFAULT_ENUM_CAP = 24
-
-# From this dimension up, the streaming oracles switch to vectorized
-# whole-code passes (same elementwise checks, evaluated in bulk).
-_VECTOR_MIN_DIM = 14
-
-_REV_TABLES = {}
-
-
-def _rev_table(n):
-    if n not in _REV_TABLES:
-        _REV_TABLES[n] = tuple(bit_reverse(v, n) for v in range(1 << n))
-    return _REV_TABLES[n]
 
 
 def pack(word):
@@ -213,95 +204,48 @@ class CyclicCode:
         n = self.n
         return (unpack(n, v) for v in self.packed_words(cap))
 
-    def _use_vectorized(self):
-        return self.dim >= _VECTOR_MIN_DIM and 3 * self.n <= 62 and self.n <= 16
-
-    def _packed_array(self, cap):
-        """All packed codewords as a uint64 array (subset-sum doubling)."""
-        self._check_cap(cap)
-        arr = np.zeros(1, dtype=np.uint64)
-        for r in self.rows:
-            arr = np.concatenate([arr, arr ^ np.uint64(r)])
-        return arr
-
     def min_hamming_distance(self, cap=None):
         """Minimum weight over nonzero codewords; inf for the zero code.
 
         Coordinates are counted nonzero/zero over R, and linearity makes
-        the minimum weight equal the minimum pairwise distance.
+        the minimum weight equal the minimum pairwise distance.  For a
+        nonzero codeword c with u^k c the last nonzero power, u^k c is a
+        u^2-only codeword supported inside c, so the minimum is taken
+        over the u^2-subcode alone (Norton and Salagean, 2000).
         """
         if self.dim == 0:
             return math.inf
-        n = self.n
-        mask = (1 << n) - 1
-        if self._use_vectorized():
-            arr = self._packed_array(cap)
-            support = (arr | arr >> np.uint64(n) | arr >> np.uint64(2 * n)) \
-                & np.uint64(mask)
-            weights = np.bitwise_count(support)
-            return int(weights[weights > 0].min())
-        best = n + 1
-        for v in self.packed_words(cap):
-            if v == 0:
-                continue
-            w = ((v | v >> n | v >> 2 * n) & mask).bit_count()
-            if w < best:
+        self._check_cap(cap)
+        best = self.n + 1
+        for v in self.u2_subcode().packed_words(cap):
+            w = v.bit_count()
+            if 0 < w < best:
                 best = w
                 if best == 1:
                     break
         return best
 
-    def _vec_closed(self, use_reverse, use_complement, cap):
-        """Vectorized closure check of the chosen coordinate map."""
-        n = self.n
-        arr = self._packed_array(cap)
-        arr.sort()
-        out = arr
-        if use_reverse:
-            table = np.asarray(_rev_table(n), dtype=np.uint64)
-            mask = np.uint64((1 << n) - 1)
-            s1, s2 = np.uint64(n), np.uint64(2 * n)
-            out = (table[(out & mask).astype(np.int64)]
-                   | table[((out >> s1) & mask).astype(np.int64)] << s1
-                   | table[((out >> s2) & mask).astype(np.int64)] << s2)
-        if use_complement:
-            out = out ^ np.uint64((1 << n) - 1)
-        idx = np.minimum(np.searchsorted(arr, out), len(arr) - 1)
-        return bool(np.all(arr[idx] == out))
-
-    def _is_closed_under(self, mapper, cap=None):
-        members = set(self.packed_words(cap))
-        return all(mapper(v) in members for v in members)
-
-    def _packed_reverse(self, v):
-        n = self.n
-        mask = (1 << n) - 1
-        t = _rev_table(n) if n <= 16 else None
-        if t is not None:
-            return (t[v & mask] | t[(v >> n) & mask] << n
-                    | t[(v >> 2 * n) & mask] << 2 * n)
-        return (bit_reverse(v & mask, n) | bit_reverse((v >> n) & mask, n) << n
-                | bit_reverse((v >> 2 * n) & mask, n) << 2 * n)
-
     def is_reversible(self, cap=None):
-        """Brute-force check that every codeword's reversal is a codeword."""
-        if self._use_vectorized():
-            return self._vec_closed(True, False, cap)
-        return self._is_closed_under(self._packed_reverse, cap)
+        """Whether the reversal of every codeword is a codeword.
+
+        Reversal is GF(2)-linear, so checking the basis rows decides it.
+        """
+        self._check_cap(cap)
+        return all(self._reduce(pack(unpack(self.n, r).reverse())) == 0
+                   for r in self.rows)
 
     def is_complement_closed(self, cap=None):
-        """Brute-force check of closure under the coordinatewise complement."""
-        if self._use_vectorized():
-            return self._vec_closed(False, True, cap)
-        mask = (1 << self.n) - 1
-        return self._is_closed_under(lambda v: v ^ mask, cap)
+        """Whether the code is closed under the coordinatewise complement.
+
+        Complement adds u^2 to every coordinate, so the code is closed
+        under it exactly when it contains the all-u^2 word.
+        """
+        self._check_cap(cap)
+        return self._reduce((1 << self.n) - 1) == 0
 
     def is_rc_closed(self, cap=None):
-        """Brute-force check of closure under reverse-complement."""
-        if self._use_vectorized():
-            return self._vec_closed(True, True, cap)
-        mask = (1 << self.n) - 1
-        return self._is_closed_under(lambda v: self._packed_reverse(v) ^ mask, cap)
+        """Whether the code is closed under reverse-complement."""
+        return self.is_reversible(cap) and self.is_complement_closed(cap)
 
     def sum_with(self, other):
         """The code C1 + C2 (span of the union)."""

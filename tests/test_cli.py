@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dnacyclic
 from dnacyclic import cli, polyf2
 from dnacyclic.cli import dna_to_word, main, reference_catalog, word_to_dna
 from dnacyclic.polyr import RingWord, u2_all_ones
@@ -98,6 +103,27 @@ def test_cmd_check_non_self_reciprocal_both(capsys):
 
 def test_cmd_check_bad_spec(capsys):
     code, _, err = run(capsys, ["check", "--spec", '{"n": 0}'])
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("spec", [
+    '{"n": true, "generators": []}',
+    '{"n": 8, "generators": [{"f2": 5}]}',
+    '{"n": 8, "generators": [{"f2": "1", "u2": null}]}',
+])
+def test_bad_spec_fields_are_input_errors(capsys, spec):
+    code, out, err = run(capsys, ["distance", "--spec", spec])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("text", ["[1]", '"spec"', "8"])
+def test_spec_file_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, ["distance", "--spec", str(path)])
     assert code == 2
     assert "input error" in err
 
@@ -235,3 +261,12 @@ def test_spec_file_input(tmp_path, capsys):
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, ["distance", "--spec", "/nonexistent.json"])
     assert code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    probe = "import sys, dnacyclic.cli; print('numpy' in sys.modules)"
+    src = str(Path(dnacyclic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True, env=env)
+    assert result.stdout.strip() == "False"

@@ -314,3 +314,66 @@ def test_redundant_generators_deduplicate():
     once = CyclicCode.from_generators(4, [w])
     twice = CyclicCode.from_generators(4, [w, w, w.shift(2)])
     assert once == twice
+
+
+def structured_code(rng, n):
+    """A random ideal from 1-2 generators u^k * d * f with d | x^n - 1.
+
+    The divisor factor brings in non-self-reciprocal generators, so both
+    closure verdicts occur often.
+    """
+    divisors = polyf2.divisors_of_xn1(n)
+    m = polyf2.xn1(n)
+    gens = []
+    for _ in range(rng.randrange(1, 3)):
+        d = rng.choice(divisors)
+        layers = [polyf2.mod(polyf2.mul(d, rng.randrange(1 << n)), m)
+                  for _ in range(3)]
+        k = rng.randrange(3)
+        gens.append(RingWord(n, *([0] * k + layers[:3 - k])))
+    return CyclicCode.from_generators(n, gens)
+
+
+def exhaustive_report(c):
+    """Closure and distance of a code by walking all of its words."""
+    n = c.n
+    mask = (1 << n) - 1
+    rev = [int(format(v, f"0{n}b")[::-1], 2) for v in range(1 << n)]
+
+    def reverse(v):
+        return rev[v & mask] | rev[v >> n & mask] << n | rev[v >> 2 * n] << 2 * n
+
+    members = set(c.packed_words())
+    weights = [w.weight() for w in c.words() if not w.is_zero()]
+    return {
+        "reversible": all(reverse(v) in members for v in members),
+        "complement": all(v ^ mask in members for v in members),
+        "rc": all(reverse(v) ^ mask in members for v in members),
+        "distance": min(weights, default=math.inf),
+    }
+
+
+def algebraic_report(c):
+    return {
+        "reversible": c.is_reversible(),
+        "complement": c.is_complement_closed(),
+        "rc": c.is_rc_closed(),
+        "distance": c.min_hamming_distance(),
+    }
+
+
+@pytest.mark.parametrize("low, high, count", [(0, 12, 150), (14, 18, 10)])
+def test_algebraic_decisions_match_exhaustive_walk(low, high, count):
+    rng = random.Random(31 + low)
+    verdicts = {key: set() for key in ("reversible", "complement", "rc")}
+    done = 0
+    while done < count:
+        c = structured_code(rng, rng.randrange(1, 17))
+        if not low <= c.dim <= high:
+            continue
+        expected = exhaustive_report(c)
+        assert algebraic_report(c) == expected, (c.n, c.rows)
+        for key, seen in verdicts.items():
+            seen.add(expected[key])
+        done += 1
+    assert all(seen == {True, False} for seen in verdicts.values())
