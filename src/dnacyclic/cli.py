@@ -33,6 +33,10 @@ _REF_G = polyf2.from_text("x^6+x^4+x^2+1")
 _REF_P1 = polyf2.from_text("x^5+x")
 _REF_P2 = polyf2.from_text("x^4+x^2")
 
+# Longest code length a spec may declare: dual, canonical and the
+# theorem checks have no dimension cap, and their bit algebra grows with n.
+MAX_LENGTH = 1024
+
 
 def word_to_dna(word):
     """DNA string of a word: one codon per coordinate, index 0 first."""
@@ -77,6 +81,8 @@ def _load_spec(text):
     n = spec.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("spec field 'n' must be a positive integer")
+    if n > MAX_LENGTH:
+        raise CapExceeded(f"length n = {n} exceeds the bound {MAX_LENGTH}")
     gens = spec.get("generators", [])
     if not isinstance(gens, list):
         raise ValueError("spec field 'generators' must be a list")

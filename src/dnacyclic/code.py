@@ -13,7 +13,12 @@ comparison and every derived quantity deterministic.
 
 The ideal generated by a set of words equals the GF(2) span of
 {u^j * x^i * w}, because R itself is the GF(2) span of {1, u, u^2}; this
-reduces all module arithmetic to bit linear algebra.
+reduces all module arithmetic to bit linear algebra.  Multiplication by
+x rotates each n-bit layer of the packed integer by one place.  The span
+built from earlier shift chains is closed under x, so a generator's
+chain x^i * u^j * w stops at the first shift already in the span: every
+later shift lies in it too.  rref is the one elimination routine; sums,
+intersections and the dual kernel all reduce through it.
 
 Codes are immutable after construction.  Closure and distance are exact
 decisions on the basis: reversal is GF(2)-linear, so the code is
@@ -77,6 +82,14 @@ def _rows_of(pivots):
     return tuple(pivots[p] for p in sorted(pivots, reverse=True))
 
 
+def rref(vectors):
+    """The RREF basis of the span of packed vectors, highest pivot first."""
+    pivots = {}
+    for v in vectors:
+        _insert(pivots, v)
+    return _rows_of(pivots)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Structure-theorem generator data (unused fields are zero per case).
@@ -131,6 +144,7 @@ class CyclicCode:
     def from_generators(cls, n, generators):
         """The ideal generated by the given words (the zero code for none)."""
         generators = tuple(generators)
+        tops = (1 << n - 1) * ((1 << 3 * n) - 1) // ((1 << n) - 1)
         pivots = {}
         for w in generators:
             if w.n != n:
@@ -138,10 +152,8 @@ class CyclicCode:
             base = pack(w)
             for j in range(3):
                 v = base >> (n * j)
-                word = unpack(n, v)
-                for _ in range(n):
-                    _insert(pivots, pack(word))
-                    word = word.shift(1)
+                while _insert(pivots, v):
+                    v = (v & ~tops) << 1 | (v & tops) >> (n - 1)
         return cls(n, _rows_of(pivots), generators)
 
     @classmethod
@@ -251,12 +263,7 @@ class CyclicCode:
         """The code C1 + C2 (span of the union)."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        pivots = {}
-        for r in self.rows:
-            _insert(pivots, r)
-        for r in other.rows:
-            _insert(pivots, r)
-        return CyclicCode(self.n, _rows_of(pivots),
+        return CyclicCode(self.n, rref(self.rows + other.rows),
                           self.generators + other.generators)
 
     def intersect_with(self, other):
@@ -264,16 +271,9 @@ class CyclicCode:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         w = 3 * self.n
-        pivots = {}
-        for r in self.rows:
-            _insert(pivots, (r << w) | r)
-        for r in other.rows:
-            _insert(pivots, r << w)
-        inter = {}
-        for r in _rows_of(pivots):
-            if r >> w == 0 and r:
-                _insert(inter, r)
-        rows = _rows_of(inter)
+        both = rref([(r << w) | r for r in self.rows]
+                    + [r << w for r in other.rows])
+        rows = rref(r for r in both if r >> w == 0)
         return CyclicCode(self.n, rows, tuple(unpack(self.n, r) for r in rows))
 
     def report_json(self, cap=None):

@@ -9,15 +9,17 @@ sum of X rather than zero; the kernel solver accounts for that with one
 extra parity equation.
 
 dual_code solves a GF(2) linear system over the 3n layer bits (each
-basis codeword contributes three parity equations); dual_brute filters
-every word of R^n by definitional inner products against every codeword
-and exists solely as an independent oracle for small n.
+basis codeword contributes three parity equations).  Its solution space
+is the dual ideal itself, since the orthogonal space of an ideal and the
+Hermitian extra equation are both invariant under x and u.  dual_brute
+filters every word of R^n by definitional inner products against every
+codeword and exists solely as an independent oracle for small n.
 """
 
 from __future__ import annotations
 
 from . import polyf2
-from .code import CyclicCode, _insert, unpack
+from .code import CyclicCode, rref, unpack
 
 FLAVORS = ("euclidean", "hermitian")
 
@@ -69,9 +71,7 @@ def _orthogonality_masks(c, flavor):
 
 def _kernel(masks, width):
     """Basis of the solution space of the parity equations."""
-    pivots = {}
-    for row in masks:
-        _insert(pivots, row)
+    pivots = {r.bit_length() - 1: r for r in rref(masks)}
     basis = []
     for col in range(width):
         if col in pivots:
@@ -88,9 +88,8 @@ def dual_code(c, flavor="euclidean"):
     """The dual code by the kernel method."""
     _check_flavor(flavor)
     n = c.n
-    masks = _orthogonality_masks(c, flavor)
-    words = [unpack(n, v) for v in _kernel(masks, 3 * n)]
-    return CyclicCode.from_generators(n, words)
+    kernel = _kernel(_orthogonality_masks(c, flavor), 3 * n)
+    return CyclicCode(n, rref(kernel), [unpack(n, v) for v in kernel])
 
 
 def dual_brute(c, flavor="euclidean"):

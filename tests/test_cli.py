@@ -136,6 +136,19 @@ def test_cmd_check_cap(capsys):
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize("command", ["dual", "canonical", "check",
+                                     "distance", "enumerate"])
+def test_spec_length_bound(capsys, command):
+    # The zero code stays under every dimension cap, so only the length
+    # bound can reject it.
+    assert cli.MAX_LENGTH == 1024
+    spec = json.dumps({"n": 1025, "generators": []})
+    code, out, err = run(capsys, [command, "--spec", spec])
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded" in err
+
+
 def test_cmd_distance_example(capsys):
     code, out, _ = run(capsys, ["distance", "--spec", EXAMPLE_SPEC])
     assert code == 0

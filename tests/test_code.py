@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
 from dnacyclic.code import CyclicCode, DEFAULT_ENUM_CAP, pack, unpack
@@ -377,3 +379,49 @@ def test_algebraic_decisions_match_exhaustive_walk(low, high, count):
             seen.add(expected[key])
         done += 1
     assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def reference_rref(vectors):
+    """Plain Gauss-Jordan elimination, highest pivot first."""
+    rows = {}
+    for v in vectors:
+        while v and v.bit_length() - 1 in rows:
+            v ^= rows[v.bit_length() - 1]
+        if v:
+            rows[v.bit_length() - 1] = v
+    for p in sorted(rows, reverse=True):
+        for q in rows:
+            if q != p and rows[q] >> p & 1:
+                rows[q] ^= rows[p]
+    return tuple(rows[p] for p in sorted(rows, reverse=True))
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 12))
+    layer = st.integers(0, (1 << n) - 1)
+    word = st.one_of(
+        st.just(RingWord(n)),
+        st.builds(lambda f: RingWord(n, 0, f, 0), layer),
+        st.builds(lambda f: RingWord(n, 0, 0, f), layer),
+        st.builds(lambda a, b, c: RingWord(n, a, b, c), layer, layer, layer))
+    gens = draw(st.lists(word, max_size=3))
+    if len(gens) > 1 and draw(st.booleans()):
+        gens[-1] = gens[0]
+    return n, gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_sets())
+@example((1, [RingWord(1, 1, 1, 1)]))
+@example((7, [RingWord(7)]))
+@example((5, [RingWord(5, 0, 0b10011, 0), RingWord(5, 0, 0, 0b1)]))
+@example((6, [RingWord(6, 0b101, 0b11, 0)] * 3))
+def test_span_matches_full_expansion(case):
+    n, gens = case
+    expansions = []
+    for w in gens:
+        for _ in range(3):
+            expansions.extend(pack(w.shift(i)) for i in range(n))
+            w = w.times_u()
+    assert CyclicCode.from_generators(n, gens).rows == reference_rref(expansions)

@@ -138,10 +138,11 @@ def test_euclidean_duality_identities():
 def test_dual_is_ideal():
     rng = random.Random(55)
     for _ in range(40):
-        n = rng.randrange(1, 6)
+        n = rng.randrange(1, 17)
         c = random_code(rng, n)
         for flavor in ("euclidean", "hermitian"):
             d = dual_code(c, flavor)
+            assert CyclicCode.from_generators(n, d.generators) == d
             for r in d.rows:
                 w = unpack(n, r)
                 assert d.contains(w.shift(1))
