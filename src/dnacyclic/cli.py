@@ -159,7 +159,11 @@ def _cmd_check(args):
 
 
 def _search_candidates(n):
-    """Yield (g, p1, p2, a2_or_None) structural candidates for even n."""
+    """Yield the generator triples of each structural candidate for even n.
+
+    Single candidates are [(g, p1, p2)], double ones [(g, p1, p2),
+    (0, 0, a2)], the shapes _load_spec returns and _theorem_verdict takes.
+    """
     divisors = polyf2.divisors_of_xn1(n)
     for g in divisors:
         r = polyf2.degree(g)
@@ -168,9 +172,9 @@ def _search_candidates(n):
         sub = [d for d in divisors if d != g and polyf2.divides(d, g)]
         for p1 in range(1 << r):
             for p2 in range(1 << r):
-                yield g, p1, p2, None
+                yield [(g, p1, p2)]
                 for a2 in sub:
-                    yield g, p1, p2, a2
+                    yield [(g, p1, p2), (0, 0, a2)]
 
 
 def _cmd_search(args):
@@ -178,40 +182,32 @@ def _cmd_search(args):
     if n < 2 or n % 2:
         raise ValueError("search requires an even length n >= 2")
     cap = args.cap
-    require = args.require
     truncated = False
     configs = 0
     seen = {}
-    for g, p1, p2, a2 in _search_candidates(n):
+    for triples in _search_candidates(n):
         configs += 1
         if configs > args.max_configs:
             truncated = True
             break
-        if a2 is None:
-            verdict = (constraints.check_rc_single(n, g, p1, p2)
-                       if require == "rc"
-                       else constraints.check_reversible_single(n, g, p1, p2))
-            words = [RingWord.from_polys(n, g, p1, p2)]
-        else:
-            verdict = (constraints.check_rc_double(n, g, p1, p2, a2)
-                       if require == "rc"
-                       else constraints.check_reversible_double(n, g, p1, p2, a2))
-            words = [RingWord.from_polys(n, g, p1, p2),
-                     RingWord.from_polys(n, 0, 0, a2)]
+        verdict = _theorem_verdict(n, triples, args.require)
         if not verdict.satisfied:
             continue
-        c = CyclicCode.from_generators(n, words)
+        c = CyclicCode.from_generators(
+            n, [RingWord.from_polys(n, *t) for t in triples])
         if c.rows in seen:
             continue
         if c.dim > (DEFAULT_ENUM_CAP if cap is None else cap):
             truncated = True
             continue
+        g, p1, p2 = triples[0]
+        a2 = polyf2.to_text(triples[1][2]) if len(triples) == 2 else None
         seen[c.rows] = {
             "n": n,
             "g": polyf2.to_text(g),
             "p1": polyf2.to_text(p1),
             "p2": polyf2.to_text(p2),
-            "a2": polyf2.to_text(a2) if a2 is not None else None,
+            "a2": a2,
             "case": verdict.case,
             "dim": c.dim,
             "cardinality": c.cardinality,

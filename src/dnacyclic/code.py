@@ -109,14 +109,9 @@ class Presentation:
 
     def generator_words(self, n):
         """The generating words of the presentation (zero words omitted)."""
-        words = []
-        if self.g or self.p1 or self.p2:
-            words.append(RingWord.from_polys(n, self.g, self.p1, self.p2))
-        if self.a1 or self.q:
-            words.append(RingWord.from_polys(n, 0, self.a1, self.q))
-        if self.a2:
-            words.append(RingWord.from_polys(n, 0, 0, self.a2))
-        return words
+        triples = ((self.g, self.p1, self.p2), (0, self.a1, self.q),
+                   (0, 0, self.a2))
+        return [RingWord.from_polys(n, *t) for t in triples if any(t)]
 
     def to_json(self):
         return {
@@ -273,7 +268,9 @@ class CyclicCode:
         w = 3 * self.n
         both = rref([(r << w) | r for r in self.rows]
                     + [r << w for r in other.rows])
-        rows = rref(r for r in both if r >> w == 0)
+        # Rows with a zero top block are zero at every pivot but their
+        # own, so they already form the reduced echelon basis of C1 ∩ C2.
+        rows = tuple(r for r in both if r >> w == 0)
         return CyclicCode(self.n, rows, tuple(unpack(self.n, r) for r in rows))
 
     def report_json(self, cap=None):
@@ -357,9 +354,7 @@ class CyclicCode:
         def normal(t):
             return 0 if t == m else t
 
-        a2 = normal(self.torsion_generator(2)) if self._layer_rows(2) else 0
-        a1 = normal(self.torsion_generator(1)) if self._layer_rows(1) else 0
-        g = normal(self.torsion_generator(0)) if self._layer_rows(0) else 0
+        g, a1, a2 = (normal(self.torsion_generator(i)) for i in range(3))
 
         q = 0
         c_a1 = 0

@@ -9,7 +9,8 @@ in the fixed order A, B, C, D is reported, and that ordering is part of
 the contract.
 
 Degree conventions: deg 0 = NEG_INF, so a zero p1/p2 never violates the
-degree hypothesis and its shifted reciprocal is simply 0.
+degree hypothesis and its shifted reciprocal is simply 0.  With deg p <=
+r = deg g, x^(r - deg p) * reciprocal(p) is bit_reverse(p, r + 1).
 
 Hypothesis failures (generator degree ordering, divisor condition) yield
 a verdict with hypothesis_ok = False and never claim satisfaction;
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 from . import polyf2
 from .code import CyclicCode
+from .polyf2 import bit_reverse
 from .polyr import RingWord, u2_all_ones
 
 
@@ -45,13 +47,6 @@ class Verdict:
 def _validate_even(n):
     if n < 1 or n % 2:
         raise ValueError(f"checker requires an even length, got n = {n}")
-
-
-def _shifted_reciprocal(p, r):
-    """x^(r - deg p) * reciprocal(p); 0 for p = 0 (needs r >= deg p)."""
-    if p == 0:
-        return 0
-    return polyf2.reciprocal(p) << (r - (p.bit_length() - 1))
 
 
 def _degree_hypothesis(g, p1, p2):
@@ -84,9 +79,9 @@ def check_reversible_single(n, g, p1, p2):
         return Verdict(False, "NONE", False, "; ".join(notes))
     if not polyf2.is_self_reciprocal(g):
         return Verdict(False, "NONE", True, "g is not self-reciprocal")
-    r = g.bit_length() - 1
-    a1 = _shifted_reciprocal(p1, r)
-    a2 = _shifted_reciprocal(p2, r)
+    w = g.bit_length()
+    a1 = bit_reverse(p1, w)
+    a2 = bit_reverse(p2, w)
     cases = (
         ("A", a1 == p1 and a2 == p2),
         ("B", a1 == g ^ p1 and a2 == p1 ^ p2),
@@ -116,9 +111,9 @@ def check_reversible_double(n, g, p1, p2, a2):
         notes.append("a2 is not self-reciprocal")
     if notes:
         return Verdict(False, "NONE", True, "; ".join(notes))
-    r = g.bit_length() - 1
-    s1 = _shifted_reciprocal(p1, r)
-    s2 = _shifted_reciprocal(p2, r)
+    w = g.bit_length()
+    s1 = bit_reverse(p1, w)
+    s2 = bit_reverse(p2, w)
     cases = (
         ("A", s1 == p1 and polyf2.divides(a2, s2 ^ p2)),
         ("B", s1 == g ^ p1 and polyf2.divides(a2, s2 ^ p1 ^ p2)),

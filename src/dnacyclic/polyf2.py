@@ -72,11 +72,14 @@ def gcd(f, g):
     return f
 
 
+def bit_reverse(v, width):
+    """Reverse the low `width` bits of v (v must fit in `width` bits)."""
+    return int(bin(v | 1 << width)[:2:-1] or "0", 2)
+
+
 def reciprocal(f):
     """Coefficient reversal over [0, deg f]; the reciprocal of 0 is 0."""
-    if f == 0:
-        return 0
-    return int(bin(f)[:1:-1], 2)
+    return bit_reverse(f, f.bit_length())
 
 
 def is_self_reciprocal(f):

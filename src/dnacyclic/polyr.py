@@ -11,13 +11,7 @@ Words are immutable; every operation returns a fresh word.
 from __future__ import annotations
 
 from . import polyf2, ring
-
-
-def bit_reverse(v, width):
-    """Reverse the low `width` bits of v."""
-    if width <= 1:
-        return v
-    return int(format(v, f"0{width}b")[::-1], 2)
+from .polyf2 import bit_reverse
 
 
 class RingWord:

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import dnacyclic
-from dnacyclic import cli, polyf2
+from dnacyclic import cli, constraints, polyf2
+from dnacyclic.code import CyclicCode
 from dnacyclic.cli import dna_to_word, main, reference_catalog, word_to_dna
 from dnacyclic.polyr import RingWord, u2_all_ones
 
@@ -254,6 +255,55 @@ def test_cmd_search_rediscovers_example(capsys):
     assert match
     assert match[0]["min_distance"] == 4
     assert match[0]["cardinality"] == 64
+
+
+@pytest.mark.parametrize("require", ["rc", "reversible"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_search_matches_certificate_loop(capsys, n, require):
+    """search gives the hits of a plain loop over the public checkers."""
+    single = (constraints.check_rc_single if require == "rc"
+              else constraints.check_reversible_single)
+    double = (constraints.check_rc_double if require == "rc"
+              else constraints.check_reversible_double)
+    divisors = polyf2.divisors_of_xn1(n)
+    candidates = 0
+    first = {}
+    for g in divisors:
+        r = polyf2.degree(g)
+        if not 1 <= r <= n - 1:
+            continue
+        subs = [d for d in divisors if d != g and polyf2.divides(d, g)]
+        for p1 in range(1 << r):
+            for p2 in range(1 << r):
+                for a2 in [None] + subs:
+                    candidates += 1
+                    gens = [RingWord.from_polys(n, g, p1, p2)]
+                    if a2 is None:
+                        verdict = single(n, g, p1, p2)
+                    else:
+                        verdict = double(n, g, p1, p2, a2)
+                        gens.append(RingWord.from_polys(n, 0, 0, a2))
+                    if not verdict.satisfied:
+                        continue
+                    c = CyclicCode.from_generators(n, gens)
+                    if c.rows in first:
+                        continue
+                    first[c.rows] = {
+                        "n": n, "g": polyf2.to_text(g),
+                        "p1": polyf2.to_text(p1), "p2": polyf2.to_text(p2),
+                        "a2": None if a2 is None else polyf2.to_text(a2),
+                        "case": verdict.case, "dim": c.dim,
+                        "cardinality": c.cardinality,
+                        "min_distance": c.min_hamming_distance()}
+    code, out, _ = run(capsys, ["search", "--n", str(n), "--require", require])
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    summary, hits = lines[-1], lines[:-1]
+    assert (sorted(json.dumps(h, sort_keys=True) for h in hits)
+            == sorted(json.dumps(h, sort_keys=True) for h in first.values()))
+    assert len(hits) == len(first) == summary["hits"]
+    assert summary["configs"] == candidates
+    assert summary["truncated"] is False
 
 
 def test_cmd_search_truncation_flag(capsys):

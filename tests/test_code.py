@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
-from dnacyclic.code import CyclicCode, DEFAULT_ENUM_CAP, pack, unpack
+from dnacyclic.code import CyclicCode, DEFAULT_ENUM_CAP, pack, rref, unpack
 from dnacyclic.polyf2 import CapExceeded
 from dnacyclic.polyr import RingWord, u2_all_ones
 
@@ -164,6 +164,7 @@ def test_sum_and_intersection():
         s = c1.sum_with(c2)
         i = c1.intersect_with(c2)
         assert c1.dim + c2.dim == s.dim + i.dim
+        assert i.rows == rref(i.rows)
         for r in i.rows:
             w = unpack(n, r)
             assert c1.contains(w) and c2.contains(w)

@@ -203,6 +203,18 @@ def test_bit_reverse():
     assert bit_reverse(0b100010, 6) == 0b010001
     assert bit_reverse(0b1, 1) == 0b1
     assert bit_reverse(0, 5) == 0
+    for width in range(9):
+        for v in range(1 << width):
+            text = format(v, "b").zfill(width) if width else ""
+            assert bit_reverse(v, width) == int(text[::-1] or "0", 2)
+    for f in range(4096):
+        assert polyf2.reciprocal(f) == bit_reverse(f, f.bit_length())
+    # The shifted reciprocal x^(r - deg p) * reciprocal(p), deg p <= r,
+    # with the reciprocal taken as the reversed binary string of p.
+    for r in range(9):
+        for p in range(1, 1 << (r + 1)):
+            shifted = int(bin(p)[:1:-1], 2) << (r - (p.bit_length() - 1))
+            assert bit_reverse(p, r + 1) == shifted
 
 
 def test_divides_xn_minus_1():
