@@ -6,10 +6,12 @@ A codeword with layers (f1, f2, f3) packs into the integer
     f3  |  f2 << n  |  f1 << 2n
 
 so that multiplication by u is a plain right shift by n and the
-u^2-only subspace is exactly the low n bits.  The basis is kept in
+u^2-only subspace is exactly the low n bits.  The basis is stored in
 reduced row echelon form with the pivot of a row being its highest set
 bit; RREF is unique per subspace, which makes code equality a tuple
-comparison and every derived quantity deterministic.
+comparison and every derived quantity deterministic.  Elimination
+builds a plain echelon form, reducing each inserted vector by leading
+bits only, and back-reduces once when the rows are read out.
 
 The ideal generated by a set of words equals the GF(2) span of
 {u^j * x^i * w}, because R itself is the GF(2) span of {1, u, u^2}; this
@@ -55,31 +57,40 @@ def unpack(n, v):
 
 
 def _insert(pivots, v):
-    """Insert v into an RREF basis kept as {pivot bit: row}; True if rank grew.
+    """Insert v into an echelon basis kept as {pivot bit: row}; True if rank grew.
 
-    Rows carry no pivot bit but their own, so the basis is the unique
-    reduced echelon form of its span.
+    v is reduced by leading bits only and stored with its own top bit as
+    pivot, so rows may still carry lower pivot bits until _rows_of.
     """
     while v:
         p = v.bit_length() - 1
-        if p not in pivots:
-            break
-        v ^= pivots[p]
-    if not v:
-        return False
-    p = v.bit_length() - 1
-    for q, r in pivots.items():
-        if (v >> q) & 1:
-            v ^= r
-    for q, r in pivots.items():
-        if (r >> p) & 1:
-            pivots[q] = r ^ v
-    pivots[p] = v
-    return True
+        r = pivots.get(p)
+        if r is None:
+            pivots[p] = v
+            return True
+        v ^= r
+    return False
 
 
 def _rows_of(pivots):
-    return tuple(pivots[p] for p in sorted(pivots, reverse=True))
+    """Back-reduce an echelon basis in place; its unique RREF, highest pivot first.
+
+    One pass in ascending pivot order: each row already reduced is zero
+    at every other pivot, so a row clears its lower pivot bits with one
+    XOR per bit set there, in any order.
+    """
+    order = sorted(pivots)
+    below = 0
+    for p in order:
+        v = pivots[p]
+        x = v & below
+        while x:
+            q = x.bit_length() - 1
+            v ^= pivots[q]
+            x ^= 1 << q
+        pivots[p] = v
+        below |= 1 << p
+    return tuple(pivots[p] for p in reversed(order))
 
 
 def rref(vectors):

@@ -16,16 +16,28 @@ Hypothesis failures (generator degree ordering, divisor condition) yield
 a verdict with hypothesis_ok = False and never claim satisfaction;
 structurally invalid inputs (odd length, zero g, broken divisor chain)
 raise ValueError instead.
+
+The all-u^2 word u^2 (1 + x + ... + x^(n-1)) is a codeword exactly when
+the all-ones polynomial lies in the torsion code Tor_2 = {a : u^2 a in C},
+which the generator polynomials give without building the ideal.  With
+m = x^n+1, h = (m/g) p1 and a1 = gcd(g, h):
+
+    Tor_1 = <a1>,   Tor_2 = <a1, (m/a1) p2 + (h/a1) p1, a2>
+
+(a2 = 0 for one generator), so the word is a codeword exactly when
+t2 = gcd(a1, (m/a1) p2 + (h/a1) p1, a2) divides 1 + x + ... + x^(n-1).
+That reduces to one divisibility test: with e the largest power of two
+dividing n, the word is a codeword unless x^e + 1 = (x+1)^e divides
+each of g, p1, p2 and a2 (see _u2_all_ones_member).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import polyf2
-from .code import CyclicCode
 from .polyf2 import bit_reverse
-from .polyr import RingWord, u2_all_ones
 
 
 @dataclass(frozen=True)
@@ -50,13 +62,15 @@ def _validate_even(n):
 
 
 def _degree_hypothesis(g, p1, p2):
-    """Notes for a violated r > max(deg p1, deg p2) hypothesis, else ""."""
-    r = polyf2.degree(g)
-    s = polyf2.degree(p1)
-    t = polyf2.degree(p2)
-    if r > s and r > t:
+    """Notes for a violated r > max(deg p1, deg p2) hypothesis, else "".
+
+    g is nonzero, so comparing bit lengths compares degrees, with the
+    zero polynomial below every other.
+    """
+    w = g.bit_length()
+    if w > (p1 | p2).bit_length():
         return ""
-    if r > s:
+    if w > p1.bit_length():
         # The borderline the criterion statement leaves open: only the
         # p1 bound holds.  Flagged distinctly instead of guessed.
         return ("deg g exceeds deg p1 but not deg p2; "
@@ -64,34 +78,57 @@ def _degree_hypothesis(g, p1, p2):
     return "deg g must exceed both deg p1 and deg p2"
 
 
+@functools.lru_cache(maxsize=1024)
+def _generator_facts(n, g, a2):
+    """(chain, notes) for nonzero g; a2 = 0 stands for one generator.
+
+    Both depend on (n, g, a2) alone, so a search over (p1, p2) reads
+    them from the cache: chain is whether a2 | g | x^n+1, notes the
+    self-reciprocity failures of g then a2.
+    """
+    chain = (polyf2.divides(g, polyf2.xn1(n))
+             and (a2 == 0 or polyf2.divides(a2, g)))
+    notes = "; ".join(
+        f"{name} is not self-reciprocal"
+        for name, f in (("g", g), ("a2", a2))
+        if not polyf2.is_self_reciprocal(f))
+    return chain, notes
+
+
+_CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABCD"}
+_NO_CASE = Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
+
+
 def check_reversible_single(n, g, p1, p2):
     """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A-D."""
     _validate_even(n)
     if g == 0:
         raise ValueError("generator polynomial g must be nonzero")
+    chain, recip_notes = _generator_facts(n, g, 0)
     notes = []
-    if not polyf2.divides(g, polyf2.xn1(n)):
+    if not chain:
         notes.append("g does not divide x^n+1")
     hyp = _degree_hypothesis(g, p1, p2)
     if hyp:
         notes.append(hyp)
     if notes:
         return Verdict(False, "NONE", False, "; ".join(notes))
-    if not polyf2.is_self_reciprocal(g):
-        return Verdict(False, "NONE", True, "g is not self-reciprocal")
+    if recip_notes:
+        return Verdict(False, "NONE", True, recip_notes)
     w = g.bit_length()
-    a1 = bit_reverse(p1, w)
-    a2 = bit_reverse(p2, w)
-    cases = (
-        ("A", a1 == p1 and a2 == p2),
-        ("B", a1 == g ^ p1 and a2 == p1 ^ p2),
-        ("C", a1 == p1 and a2 == g ^ p2),
-        ("D", a1 == g ^ p1 and a2 == g ^ p1 ^ p2),
-    )
-    for tag, ok in cases:
-        if ok:
-            return Verdict(True, tag, True)
-    return Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
+    s1 = bit_reverse(p1, w)
+    if s1 != p1 and s1 != g ^ p1:
+        return _NO_CASE  # every case needs s1 = p1 or s1 = g + p1
+    s2 = bit_reverse(p2, w)
+    if s1 == p1 and s2 == p2:
+        return _CERTIFIED["A"]
+    if s1 == g ^ p1 and s2 == p1 ^ p2:
+        return _CERTIFIED["B"]
+    if s1 == p1 and s2 == g ^ p2:
+        return _CERTIFIED["C"]
+    if s1 == g ^ p1 and s2 == g ^ p1 ^ p2:
+        return _CERTIFIED["D"]
+    return _NO_CASE
 
 
 def check_reversible_double(n, g, p1, p2, a2):
@@ -99,52 +136,62 @@ def check_reversible_double(n, g, p1, p2, a2):
     _validate_even(n)
     if g == 0:
         raise ValueError("generator polynomial g must be nonzero")
-    if a2 == 0 or not polyf2.divides(a2, g) or not polyf2.divides(g, polyf2.xn1(n)):
+    chain, recip_notes = _generator_facts(n, g, a2)
+    if a2 == 0 or not chain:
         raise ValueError("divisibility chain a2 | g | x^n+1 violated")
     hyp = _degree_hypothesis(g, p1, p2)
     if hyp:
         return Verdict(False, "NONE", False, hyp)
-    notes = []
-    if not polyf2.is_self_reciprocal(g):
-        notes.append("g is not self-reciprocal")
-    if not polyf2.is_self_reciprocal(a2):
-        notes.append("a2 is not self-reciprocal")
-    if notes:
-        return Verdict(False, "NONE", True, "; ".join(notes))
+    if recip_notes:
+        return Verdict(False, "NONE", True, recip_notes)
     w = g.bit_length()
     s1 = bit_reverse(p1, w)
+    if s1 != p1 and s1 != g ^ p1:
+        return _NO_CASE  # every case needs s1 = p1 or s1 = g + p1
     s2 = bit_reverse(p2, w)
-    cases = (
-        ("A", s1 == p1 and polyf2.divides(a2, s2 ^ p2)),
-        ("B", s1 == g ^ p1 and polyf2.divides(a2, s2 ^ p1 ^ p2)),
-    )
-    for tag, ok in cases:
-        if ok:
-            return Verdict(True, tag, True)
-    return Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
+    if s1 == p1 and polyf2.divides(a2, s2 ^ p2):
+        return _CERTIFIED["A"]
+    if s1 == g ^ p1 and polyf2.divides(a2, s2 ^ p1 ^ p2):
+        return _CERTIFIED["B"]
+    return _NO_CASE
 
 
-def _with_membership(n, verdict, generators):
-    if not verdict.hypothesis_ok:
+def _u2_all_ones_member(n, g, p1, p2, a2):
+    """Whether u^2 (1 + ... + x^(n-1)) is in <g + u p1 + u^2 p2, u^2 a2>.
+
+    Requires g | m = x^n+1.  A codeword (k0 + u k1 + u^2 k2)(g + u p1 +
+    u^2 p2) lies in u^2 R exactly when k0 g = 0 and k0 p1 + k1 g = 0
+    (mod m), so k0 = (m/g) k0' with the syzygy (m/g) k0' p1 = g k1
+    (mod m).  With h = (m/g) p1 and a1 = gcd(g, h) it holds exactly when
+    k0' = (g/a1) k and k1 = (h/a1) k + (m/g) j, and the u^2 layer
+    k0 p2 + k1 p1 + k2 g spans Tor_2 = <a1, (m/a1) p2 + (h/a1) p1>, plus
+    a2 for the second generator.
+
+    Tor_2 is <t2> with t2 | m, and 1 + ... + x^(n-1) = m/(x+1), so only
+    the power of x+1 in t2 decides: m = (x^o + 1)^e with o odd holds x+1
+    exactly e times, and the word is missing exactly when (x+1)^e | t2.
+    (x+1)^e | a1 needs it to divide g, so m/g is prime to x+1, and then
+    p1; then m/a1 is prime to x+1 and (h/a1) p1 is a multiple, so
+    (x+1)^e | t2 holds exactly when it also divides p2 and a2.
+    """
+    q = polyf2.xn1(n & -n)  # (x+1)^e, e the largest power of two dividing n
+    return any(polyf2.mod(f, q) for f in (g, p1, p2, a2))
+
+
+def _with_membership(verdict, n, g, p1, p2, a2):
+    if not verdict.hypothesis_ok or _u2_all_ones_member(n, g, p1, p2, a2):
         return verdict
-    c = CyclicCode.from_generators(n, generators)
-    member = c.contains(u2_all_ones(n))
-    notes = verdict.notes
-    if not member:
-        notes = "; ".join(filter(None, [notes, "all-u2 word is not a codeword"]))
-    return Verdict(verdict.satisfied and member, verdict.case,
-                   verdict.hypothesis_ok, notes)
+    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
+    return Verdict(False, verdict.case, True, notes)
 
 
 def check_rc_single(n, g, p1, p2):
     """Reverse-complement criterion: reversibility plus the all-u^2 word."""
     verdict = check_reversible_single(n, g, p1, p2)
-    return _with_membership(n, verdict, [RingWord.from_polys(n, g, p1, p2)])
+    return _with_membership(verdict, n, g, p1, p2, 0)
 
 
 def check_rc_double(n, g, p1, p2, a2):
     """Two-generator reverse-complement criterion."""
     verdict = check_reversible_double(n, g, p1, p2, a2)
-    return _with_membership(
-        n, verdict,
-        [RingWord.from_polys(n, g, p1, p2), RingWord.from_polys(n, 0, 0, a2)])
+    return _with_membership(verdict, n, g, p1, p2, a2)

@@ -4,10 +4,10 @@ import pytest
 
 from dnacyclic import polyf2
 from dnacyclic.code import CyclicCode
-from dnacyclic.constraints import (check_rc_double, check_rc_single,
+from dnacyclic.constraints import (Verdict, check_rc_double, check_rc_single,
                                    check_reversible_double,
                                    check_reversible_single)
-from dnacyclic.polyr import RingWord, divides_xn_minus_1
+from dnacyclic.polyr import RingWord, divides_xn_minus_1, u2_all_ones
 
 G = polyf2.from_text("x^6+x^4+x^2+1")
 P1 = polyf2.from_text("x^5+x")
@@ -193,3 +193,55 @@ def test_verdict_json():
     j = check_rc_single(8, G, P1, P2).to_json()
     assert j == {"satisfied": True, "case": "A", "hypothesis_ok": True,
                  "notes": ""}
+
+
+def test_rc_membership_matches_built_ideal():
+    # The rc checkers decide the all-u2 word from the generator
+    # polynomials; compare with membership in the ideal they generate.
+    rng = random.Random(52)
+    divisors = {n: polyf2.divisors_of_xn1(n) for n in range(2, 17, 2)}
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.choice(sorted(divisors))
+        g = rng.choice(divisors[n])
+        r = polyf2.degree(g)
+        p1, p2 = (rng.choice((0, rng.randrange(1 << r))) for _ in range(2))
+        a2 = rng.choice([0] + [d for d in divisors[n] if polyf2.divides(d, g)])
+        gens = [RingWord.from_polys(n, g, p1, p2)]
+        if a2:
+            gens.append(RingWord.from_polys(n, 0, 0, a2))
+            rev = check_reversible_double(n, g, p1, p2, a2)
+            rc = check_rc_double(n, g, p1, p2, a2)
+        else:
+            rev = check_reversible_single(n, g, p1, p2)
+            rc = check_rc_single(n, g, p1, p2)
+        member = CyclicCode.from_generators(n, gens).contains(u2_all_ones(n))
+        assert rc.satisfied == (rev.satisfied and member)
+        assert ("all-u2 word is not a codeword" in rc.notes) == (not member)
+        outcomes.add((member, rev.satisfied))
+    assert outcomes == {(m, s) for m in (True, False) for s in (True, False)}
+
+
+def test_hypothesis_notes_are_exact():
+    # The (n, g, a2) hypotheses are computed once per generator; repeated
+    # calls with other (p1, p2) must give the same notes and raises.
+    g = polyf2.mul(polyf2.from_text("x^3+x+1"), polyf2.from_text("x+1"))
+    a2 = polyf2.from_text("x^3+x+1")
+    for p1, p2 in ((0, 0), (0b101, 0b1110)):
+        v = check_reversible_double(14, g, p1, p2, a2)
+        assert v == Verdict(False, "NONE", True,
+                            "g is not self-reciprocal; a2 is not self-reciprocal")
+    g = polyf2.from_text("x^2+x+1")
+    v = check_reversible_single(8, g, polyf2.from_text("x^3"), 0)
+    assert v == Verdict(False, "NONE", False,
+                        "g does not divide x^n+1; "
+                        "deg g must exceed both deg p1 and deg p2")
+    v = check_reversible_single(8, g, 1, polyf2.from_text("x^3"))
+    assert v.notes == ("g does not divide x^n+1; "
+                       "deg g exceeds deg p1 but not deg p2; "
+                       "the checker requires deg g > max(deg p1, deg p2)")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="divisibility chain"):
+            check_reversible_double(8, g, 0, 0, 1)
+        with pytest.raises(ValueError, match="divisibility chain"):
+            check_reversible_double(8, G, 0, 0, 0)
