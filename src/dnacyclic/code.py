@@ -22,6 +22,13 @@ chain x^i * u^j * w stops at the first shift already in the span: every
 later shift lies in it too.  rref is the one elimination routine; sums,
 intersections and the dual kernel all reduce through it.
 
+The torsion generators and the canonical presentation are read off the
+lowest basis row of each layer.  That row's layer part is the torsion
+generator, the least-degree member of the layer's torsion code.  Its
+lower layers are already reduced modulo the lower torsion generators,
+because an RREF row is zero at every other pivot and the pivots of a
+torsion layer are every degree from its generator's up to n - 1.
+
 Codes are immutable after construction.  Closure and distance are exact
 decisions on the basis: reversal is GF(2)-linear, so the code is
 reversible exactly when each basis row's reversal reduces to zero;
@@ -287,13 +294,14 @@ class CyclicCode:
     def report_json(self, cap=None):
         """Summary report of the code as a JSON-ready dict."""
         d = self.min_hamming_distance(cap)
+        reversible = self.is_reversible(cap)
         return {
             "n": self.n,
             "dim": self.dim,
             "cardinality": self.cardinality,
             "min_distance": None if d == math.inf else d,
-            "reversible": self.is_reversible(cap),
-            "rc_closed": self.is_rc_closed(cap),
+            "reversible": reversible,
+            "rc_closed": reversible and self.is_complement_closed(cap),
             "presentation": (self.canonical_presentation().to_json()
                              if self.n % 2 == 0 else None),
         }
@@ -307,89 +315,51 @@ class CyclicCode:
         rows = tuple(r for r in self.rows if r.bit_length() - 1 < self.n)
         return CyclicCode(self.n, rows, tuple(unpack(self.n, r) for r in rows))
 
-    def _layer_rows(self, i):
-        """Basis rows whose pivot sits in layer i of the packing."""
+    def _lowest_rows(self):
+        """The lowest-pivot basis row of each layer, 0 for an empty layer.
+
+        Rows run highest pivot first, so the last row seen in a layer is
+        its lowest.
+        """
         n = self.n
-        lo, hi = (2 - i) * n, (3 - i) * n
-        return [r for r in self.rows if lo <= r.bit_length() - 1 < hi]
+        low = [0, 0, 0]
+        for r in self.rows:
+            low[2 - (r.bit_length() - 1) // n] = r
+        return low
 
     def torsion_generator(self, i):
         """Monic minimum-degree generator of the torsion code T_i.
 
         T_i = {a in GF(2)[x] : some codeword is congruent to u^i * a
-        modulo u^(i+1)}; the generator is the gcd of all members with
-        x^n + 1, so the zero torsion code yields x^n + 1 itself.
+        modulo u^(i+1)}.  The layer-i parts of the basis rows pivoting in
+        layer i are T_i in RREF, and T_i's generator is its only nonzero
+        member of least degree: the layer part of the layer's lowest row.
+        The zero torsion code yields x^n + 1.
         """
         if i not in (0, 1, 2):
             raise ValueError("torsion layer must be 0, 1 or 2")
-        shift = (2 - i) * self.n
-        g = polyf2.xn1(self.n)
-        for r in self._layer_rows(i):
-            g = polyf2.gcd(g, r >> shift)
-        return g
-
-    def _lift(self, layer, target):
-        """The smallest basis combination whose layer part equals target.
-
-        The rows with a pivot in the given layer carry echelon layer
-        parts, so the combination is unique; "smallest" refers to the
-        deterministic enumeration order over basis combinations.
-        """
-        shift = (2 - layer) * self.n
-        acc = 0
-        t = target
-        for r in self._layer_rows(layer):
-            part = r >> shift
-            if t >> (part.bit_length() - 1) & 1:
-                t ^= part
-                acc ^= r
-        if t:
-            raise ValueError("target polynomial is not a layer member")
-        return acc
+        r = self._lowest_rows()[i]
+        return r >> (2 - i) * self.n if r else polyf2.xn1(self.n)
 
     def canonical_presentation(self):
         """Extract deterministic structure-theorem generator data.
 
-        Torsion gcds give g, a1, a2; echelon lifts give the generator
-        words; remainder reduction of p1 modulo the a1-lift and of p2, q
-        modulo a2 pins the degree bounds deg p1 < deg a1, deg p2 < deg a2,
-        deg q < deg a2.  The case tag is the smallest generator set that
+        g, p1, p2 are the layers of layer 0's lowest basis row, a1, q
+        those of layer 1's and a2 is layer 2's (all zero for an empty
+        layer).  The degree bounds deg p1 < deg a1, deg p2 < deg a2 and
+        deg q < deg a2 already hold: a row of the RREF basis is zero at
+        every other pivot, and the pivots of layers 1 and 2 are every
+        degree from deg a1 (resp. deg a2) up to n - 1, since T_1 and T_2
+        are cyclic.  The case tag is the smallest generator set that
         rebuilds the code exactly.
         """
         n = self.n
         if n % 2:
             raise ValueError("presentation extraction requires even length")
-        m = polyf2.xn1(n)
         mask = (1 << n) - 1
-
-        def normal(t):
-            return 0 if t == m else t
-
-        g, a1, a2 = (normal(self.torsion_generator(i)) for i in range(3))
-
-        q = 0
-        c_a1 = 0
-        if a1:
-            c_a1 = self._lift(1, a1)
-            q = c_a1 & mask
-            if a2:
-                quot, q = polyf2.divrem(q, a2)
-                c_a1 ^= polyf2.mul(quot, a2)
-
-        p1 = p2 = 0
-        c_g = 0
-        if g:
-            c_g = self._lift(0, g)
-            p1 = (c_g >> n) & mask
-            if a1:
-                quot, p1 = polyf2.divrem(p1, a1)
-                if quot:
-                    h = RingWord.from_polys(n, quot)
-                    c_g ^= pack(h * unpack(n, c_a1))
-            p2 = c_g & mask
-            if a2:
-                quot, p2 = polyf2.divrem(p2, a2)
-                c_g ^= polyf2.mul(quot, a2)
+        c_g, c_a1, a2 = self._lowest_rows()
+        g, p1, p2 = c_g >> 2 * n, c_g >> n & mask, c_g & mask
+        a1, q = c_a1 >> n, c_a1 & mask
 
         single = Presentation(1, g, p1, p2, 0, 0, 0)
         if CyclicCode.from_generators(n, single.generator_words(n)) == self:

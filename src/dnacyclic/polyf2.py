@@ -101,7 +101,10 @@ def irreducible_factors(f):
     """Factor nonzero f into [(irreducible, multiplicity), ...].
 
     Trial division by candidates in increasing integer order; the first
-    divisor of positive degree found is necessarily irreducible.
+    divisor of positive degree found is necessarily irreducible.  A
+    reducible f has a factor of degree at most deg(f) / 2, so once the
+    candidates pass that degree the rest of f is irreducible, with
+    multiplicity 1, and the search stops.
     """
     if f == 0:
         raise ValueError("cannot factor the zero polynomial")
@@ -110,6 +113,9 @@ def irreducible_factors(f):
         d = 2
         while not divides(d, f):
             d += 1
+            if 2 * degree(d) > degree(f):
+                d = f
+                break
         e = 0
         while divides(d, f):
             f = divrem(f, d)[0]

@@ -114,6 +114,8 @@ def test_reversibility_oracle():
     assert z.is_reversible()
     assert not z.is_rc_closed()  # rc(0) is the all-u2 word, not in {0}
     assert not z.is_complement_closed()
+    report = z.report_json()
+    assert report["reversible"] and not report["rc_closed"]
 
 
 def test_full_code_closures():
@@ -238,6 +240,22 @@ def test_torsion_nesting():
         assert polyf2.divides(t0, polyf2.xn1(n))
     with pytest.raises(ValueError):
         c.torsion_generator(3)
+    for _ in range(200):
+        n = rng.randrange(1, 17)
+        c = structured_code(rng, n) if rng.randrange(2) else random_code(rng, n)
+        for i in range(3):
+            assert c.torsion_generator(i) == reference_torsion(c, i), (n, i)
+
+
+def reference_torsion(c, i):
+    """The gcd of x^n + 1 with the layer-i part of every basis row that is
+    zero above layer i; those parts span the torsion code T_i."""
+    n = c.n
+    t = polyf2.xn1(n)
+    for r in c.rows:
+        if r >> (3 - i) * n == 0:
+            t = polyf2.gcd(t, r >> (2 - i) * n)
+    return t
 
 
 def test_canonical_presentation_example():
@@ -258,9 +276,10 @@ def test_canonical_presentation_u2_only():
 
 def test_canonical_presentation_round_trip():
     rng = random.Random(30)
-    for _ in range(150):
-        n = rng.choice((2, 4, 6, 8))
-        c = random_code(rng, n)
+    draws = [rng.choice(range(2, 17, 2)) for _ in range(150)]
+    for n in draws + [24] * 6 + [32] * 6:
+        c = (structured_code(rng, n) if n > 16 or rng.randrange(2)
+             else random_code(rng, n))
         p = c.canonical_presentation()
         assert CyclicCode.from_generators(n, p.generator_words(n)) == c
         if p.case == 3:
@@ -269,6 +288,19 @@ def test_canonical_presentation_round_trip():
             assert polyf2.degree(p.q) < polyf2.degree(p.a2)
             assert polyf2.divides(p.a2, p.a1)
             assert polyf2.divides(p.a1, p.g if p.g else polyf2.xn1(n))
+        # In every case the fields are the torsion generators (zero read
+        # as x^n + 1) of the layers the case uses, reduced below them.
+        m = polyf2.xn1(n)
+        g, a1, a2 = (c.torsion_generator(i) for i in range(3))
+        assert polyf2.divides(a2, a1) and polyf2.divides(a1, g)
+        assert p.g == (0 if g == m else g)
+        assert p.a1 == (0 if p.case < 3 or a1 == m else a1)
+        assert p.a2 == (0 if p.case < 2 or a2 == m else a2)
+        if a1 != m:
+            assert polyf2.degree(p.p1) < polyf2.degree(a1)
+        if a2 != m:
+            assert polyf2.degree(p.p2) < polyf2.degree(a2)
+            assert polyf2.degree(p.q) < polyf2.degree(a2)
 
 
 def test_canonical_presentation_odd_n():

@@ -167,3 +167,38 @@ def test_text_rejects_garbage():
     for bad in ("", "x^-1", "y+1", "1+1", "x^"):
         with pytest.raises(ValueError):
             from_text(bad)
+
+
+def trial_division_factors(f):
+    """Unbounded trial division: every integer from 2 up is a candidate
+    until the cofactor is 1, so no degree bound is assumed."""
+    out = []
+    d = 2
+    while degree(f) >= 1:
+        while not divides(d, f):
+            d += 1
+        e = 0
+        while divides(d, f):
+            f = divrem(f, d)[0]
+            e += 1
+        out.append((d, e))
+    return out
+
+
+def test_irreducible_factors_match_trial_division():
+    for f in range(1, 1 << 12):
+        assert irreducible_factors(f) == trial_division_factors(f), f
+    for n in range(1, 25):
+        assert irreducible_factors(xn1(n)) == trial_division_factors(xn1(n)), n
+
+
+def test_divisors_of_xn1_up_to_cap():
+    # x^29 + 1 has an irreducible factor of degree 28, so a search that
+    # only stops at the factor itself would try about 2^29 candidates.
+    for n in range(1, polyf2.DIVISOR_ENUM_CAP + 1):
+        divs = divisors_of_xn1(n)
+        assert all(divides(d, xn1(n)) for d in divs)
+        count = 1
+        for _, e in irreducible_factors(xn1(n)):
+            count *= e + 1
+        assert len(divs) == count, n
