@@ -8,7 +8,13 @@ Code specs are JSON, inline or in a file:
 where "f2" is the unit layer and "u"/"u2" the u- and u^2-layers of one
 generator word.  DNA output encodes each ring coordinate as one
 dinucleotide, so reversal acts on codon blocks, never on raw
-nucleotides.
+nucleotides.  The codon mapping itself is defined only in `ring`; the
+encoder here reads a word's three layers two coordinates at a time
+through a 64-entry table of codon pairs built from `ring.to_codon`.
+
+`main(argv)` may be called repeatedly in one process: the argument
+parser is built on the first call and reused, as parsing keeps no state
+in it.
 
 Exit codes: 0 success, 1 check failed (property not satisfied),
 2 input error, 3 cap exceeded.
@@ -17,6 +23,7 @@ Exit codes: 0 success, 1 check failed (property not satisfied),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,9 +45,28 @@ _REF_P2 = polyf2.from_text("x^4+x^2")
 MAX_LENGTH = 1024
 
 
+def _codon_pair(i):
+    # i packs coordinates 2k, 2k+1 of the layers f1, f2, f3 as
+    # f1 | f2 << 2 | f3 << 4 (two bits each, coordinate 2k low).
+    lo = (i & 1) | (i >> 2 & 1) << 1 | (i >> 4 & 1) << 2
+    hi = (i >> 1 & 1) | (i >> 3 & 1) << 1 | (i >> 5 & 1) << 2
+    return ring.to_codon(lo) + ring.to_codon(hi)
+
+
+_CODON_PAIRS = tuple(_codon_pair(i) for i in range(64))
+
+
 def word_to_dna(word):
     """DNA string of a word: one codon per coordinate, index 0 first."""
-    return "".join(ring.to_codon(e) for e in word.elements())
+    f1, f2, f3 = word.f1, word.f2, word.f3
+    pairs = []
+    for _ in range(0, word.n, 2):
+        pairs.append(_CODON_PAIRS[(f1 & 3) | (f2 & 3) << 2 | (f3 & 3) << 4])
+        f1 >>= 2
+        f2 >>= 2
+        f3 >>= 2
+    # For odd n the last pair carries a zero coordinate past the end.
+    return "".join(pairs)[:2 * word.n]
 
 
 def dna_to_word(text):
@@ -266,6 +292,7 @@ def _cmd_canonical(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dnacyclic",

@@ -17,6 +17,11 @@ NEG_INF = float("-inf")
 # Default bound on n for divisor enumeration of x^n + 1.
 DIVISOR_ENUM_CAP = 32
 
+# Largest exponent from_text accepts: a term x^e is built as a (e+1)-bit
+# int and later reduced one degree at a time, so an unbounded e from
+# outside input could ask for gigabytes and minutes.
+MAX_TEXT_DEGREE = 1 << 16
+
 
 class CapExceeded(RuntimeError):
     """An enumeration would exceed a configured size cap."""
@@ -158,7 +163,10 @@ def to_text(f):
 
 
 def from_text(s):
-    """Parse the to_text format; duplicate or malformed terms are rejected."""
+    """Parse the to_text format; duplicate or malformed terms are rejected.
+
+    So is a term x^e with e above MAX_TEXT_DEGREE, before its int is built.
+    """
     s = s.strip().replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -177,6 +185,9 @@ def from_text(s):
                 raise ValueError(f"bad polynomial term {term!r}") from None
             if e < 0:
                 raise ValueError(f"bad polynomial term {term!r}")
+            if e > MAX_TEXT_DEGREE:
+                raise ValueError(f"term {term!r} exceeds the degree bound "
+                                 f"{MAX_TEXT_DEGREE}")
             b = 1 << e
         else:
             raise ValueError(f"bad polynomial term {term!r}")

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dnacyclic
-from dnacyclic import cli, constraints, polyf2
+from dnacyclic import cli, constraints, polyf2, ring
 from dnacyclic.code import CyclicCode
 from dnacyclic.cli import dna_to_word, main, reference_catalog, word_to_dna
 from dnacyclic.polyr import RingWord, u2_all_ones
@@ -32,6 +35,25 @@ def test_word_dna_round_trip():
                             polyf2.from_text("x^4+x^2"))
     s = word_to_dna(w)
     assert s == "ATGTTAGCTAGTATGC"
+    assert dna_to_word(s) == w
+
+
+@st.composite
+def codec_words(draw):
+    n = draw(st.integers(1, 40))
+    ones = (1 << n) - 1
+    layer = st.one_of(st.just(0), st.just(ones), st.integers(0, ones))
+    return RingWord(n, draw(layer), draw(layer), draw(layer))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(codec_words())
+@example(RingWord(1, 1, 1, 1))
+@example(RingWord(3))
+@example(RingWord(7, 0b1111111, 0, 0b1111111))
+def test_codec_matches_per_coordinate_reference(w):
+    s = word_to_dna(w)
+    assert s == "".join(ring.to_codon(e) for e in w.elements())
     assert dna_to_word(s) == w
 
 
@@ -148,6 +170,18 @@ def test_spec_length_bound(capsys, command):
     assert code == 3
     assert out == ""
     assert "cap exceeded" in err
+
+
+def test_spec_degree_bound(capsys):
+    # x^3000000 would be built as a 3-million-bit int and reduced one
+    # degree at a time; the parser refuses the term before that.
+    spec = json.dumps({"n": 8, "generators": [{"f2": "x^3000000"}]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["canonical", "--spec", spec])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
 
 
 def test_cmd_distance_example(capsys):
@@ -324,6 +358,36 @@ def test_spec_file_input(tmp_path, capsys):
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, ["distance", "--spec", "/nonexistent.json"])
     assert code == 2
+
+
+def subprocess_cli(argv):
+    src = str(Path(dnacyclic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "dnacyclic.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_main_reuse_in_process(capsys):
+    # One process, one parser: options given to one call must not leak
+    # into the defaults of the next, and an argparse failure must leave
+    # the parser usable.
+    calls = [
+        ["search", "--n", "4", "--cap", "5", "--min-distance", "2"],
+        ["distance", "--spec", EXAMPLE_SPEC],
+        ["check", "--mode", "rc"],
+        ["check", "--spec", EXAMPLE_SPEC, "--method", "oracle"],
+        ["search", "--n", "4"],
+        ["enumerate", "--spec", ZERO_SPEC, "--format", "dna"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess_cli(argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_import_leaves_numpy_unloaded():

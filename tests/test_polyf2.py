@@ -169,6 +169,14 @@ def test_text_rejects_garbage():
             from_text(bad)
 
 
+def test_text_degree_bound():
+    top = polyf2.MAX_TEXT_DEGREE
+    assert from_text(f"x^{top}+1") == (1 << top) | 1
+    for bad in (f"x^{top + 1}", "x^3000000+x", f"1+x^{10 ** 12}"):
+        with pytest.raises(ValueError, match="degree bound"):
+            from_text(bad)
+
+
 def trial_division_factors(f):
     """Unbounded trial division: every integer from 2 up is a candidate
     until the cofactor is 1, so no degree bound is assumed."""
