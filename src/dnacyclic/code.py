@@ -27,7 +27,10 @@ lowest basis row of each layer.  That row's layer part is the torsion
 generator, the least-degree member of the layer's torsion code.  Its
 lower layers are already reduced modulo the lower torsion generators,
 because an RREF row is zero at every other pivot and the pivots of a
-torsion layer are every degree from its generator's up to n - 1.
+torsion layer are every degree from its generator's up to n - 1.  The
+presentation's case tag compares the code's dimension with the symbolic
+dimensions of its one- and two-generator subcodes, which come from
+torsion degrees alone, so no subcode is built.
 
 Codes are immutable after construction.  Closure and distance are exact
 decisions on the basis: reversal is GF(2)-linear, so the code is
@@ -106,6 +109,29 @@ def rref(vectors):
     for v in vectors:
         _insert(pivots, v)
     return _rows_of(pivots)
+
+
+def _presented_dim(n, g, p1, p2, a2):
+    """GF(2) dimension of <g + u p1 + u^2 p2, u^2 a2>, without building it.
+
+    g divides m = x^n + 1 (g = m with p1 = p2 = 0 stands for an empty
+    unit layer), and a2 = 0 means no second generator.  The code's size
+    is the product of its three torsion codes' sizes (Norton and
+    Salagean, 2000), and with h = (m/g) p1 these are, as derived in the
+    constraints module docstring:
+
+        Tor_0 = <g>,  Tor_1 = <a1> with a1 = gcd(g, h),
+        Tor_2 = <t2> with t2 = gcd(a1, (m/a1) p2 + (h/a1) p1, a2),
+
+    so the dimension is 3n - deg g - deg a1 - deg t2.
+    """
+    m = polyf2.xn1(n)
+    h = polyf2.mul(polyf2.divrem(m, g)[0], p1)
+    a1 = polyf2.gcd(g, h)
+    mix = (polyf2.mul(polyf2.divrem(m, a1)[0], p2)
+           ^ polyf2.mul(polyf2.divrem(h, a1)[0], p1))
+    t2 = polyf2.gcd(polyf2.gcd(a1, mix), a2)
+    return 3 * n - polyf2.degree(g) - polyf2.degree(a1) - polyf2.degree(t2)
 
 
 @dataclass(frozen=True)
@@ -351,7 +377,8 @@ class CyclicCode:
         every other pivot, and the pivots of layers 1 and 2 are every
         degree from deg a1 (resp. deg a2) up to n - 1, since T_1 and T_2
         are cyclic.  The case tag is the smallest generator set that
-        rebuilds the code exactly.
+        generates the code, decided by comparing symbolic dimensions
+        (see _presented_dim) with the code's.
         """
         n = self.n
         if n % 2:
@@ -361,10 +388,11 @@ class CyclicCode:
         g, p1, p2 = c_g >> 2 * n, c_g >> n & mask, c_g & mask
         a1, q = c_a1 >> n, c_a1 & mask
 
-        single = Presentation(1, g, p1, p2, 0, 0, 0)
-        if CyclicCode.from_generators(n, single.generator_words(n)) == self:
-            return single
-        double = Presentation(2, g, p1, p2, 0, 0, a2)
-        if CyclicCode.from_generators(n, double.generator_words(n)) == self:
-            return double
+        # Both one- and two-generator codes are subcodes of C, so each
+        # equals C exactly when its dimension does.
+        g0 = g or polyf2.xn1(n)
+        if _presented_dim(n, g0, p1, p2, 0) == self.dim:
+            return Presentation(1, g, p1, p2, 0, 0, 0)
+        if _presented_dim(n, g0, p1, p2, a2) == self.dim:
+            return Presentation(2, g, p1, p2, 0, 0, a2)
         return Presentation(3, g, p1, p2, a1, q, a2)

@@ -4,13 +4,17 @@ divisibility relations between a code's generators and its dual's.
 The Euclidean product of X and Y is sum(x_i * y_i) in the ring; the
 Hermitian product pairs X with the coordinatewise Watson-Crick
 complement of Y.  Because the complement is the affine map y + u^2, the
-Hermitian product of X with the zero word is u^2 times the coordinate
-sum of X rather than zero; the kernel solver accounts for that with one
-extra parity equation.
+Hermitian product is the Euclidean one plus u^2 times the coordinate
+sum of X, so the Hermitian dual is the Euclidean dual cut by one more
+parity equation: the unit layer of X has even weight.
 
-dual_code solves a GF(2) linear system over the 3n layer bits (each
-basis codeword contributes three parity equations).  Its solution space
-is the dual ideal itself, since the orthogonal space of an ideal and the
+dual_code solves a GF(2) linear system over the 3n layer bits with one
+parity equation per basis codeword.  For an unknown word v and a
+codeword b, write c0, c1, c2 for the unit, u and u^2 layers of <v, b>.
+Then c2(v, u*b) = c1(v, b) and c2(v, u^2*b) = c0(v, b), and a code is an
+ideal, hence closed under u; so the u^2-layer equations against the
+basis rows already imply the other two layers.  The solution space is
+the dual ideal itself, since the orthogonal space of an ideal and the
 Hermitian extra equation are both invariant under x and u.  dual_brute
 filters every word of R^n by definitional inner products against every
 codeword and exists solely as an independent oracle for small n.
@@ -51,37 +55,38 @@ def _orthogonality_masks(c, flavor):
 
     A packed unknown v satisfies every mask m with parity(v & m) = 0
     exactly when it is orthogonal (in the requested flavor) to every
-    codeword of c.
+    codeword of c.  A basis row's mask is the row with its unit and u^2
+    layer blocks swapped: parity(v & mask) is the u^2 layer of <v, row>.
     """
     n = c.n
     mask = (1 << n) - 1
-    masks = []
-    for b in c.rows:
-        g1, g2, g3 = b >> 2 * n, (b >> n) & mask, b & mask
-        if flavor == "hermitian":
-            g3 ^= mask
-        masks.append(g1 << 2 * n)
-        masks.append(g2 << 2 * n | g1 << n)
-        masks.append(g3 << 2 * n | g2 << n | g1)
+    masks = [(b & mask) << 2 * n | (b >> n & mask) << n | b >> 2 * n
+             for b in c.rows]
     if flavor == "hermitian":
-        # Orthogonality to the complement of the zero codeword.
+        # The u^2 * (coordinate sum) term: the unit layer has even weight.
         masks.append(mask << 2 * n)
-    return [m for m in masks if m]
+    return masks
 
 
 def _kernel(masks, width):
-    """Basis of the solution space of the parity equations."""
-    pivots = {r.bit_length() - 1: r for r in rref(masks)}
-    basis = []
-    for col in range(width):
-        if col in pivots:
-            continue
-        v = 1 << col
-        for p, r in pivots.items():
-            if (r >> col) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    """Basis of the solution space of the parity equations.
+
+    One vector per free (non-pivot) column, in ascending column order.
+    An RREF row is zero at every other pivot, so each bit of a row
+    besides its pivot is a free column whose vector the pivot joins.
+    """
+    pivots = 0
+    joins = [0] * width
+    for r in rref(masks):
+        p = 1 << r.bit_length() - 1
+        pivots |= p
+        x = r ^ p
+        while x:
+            q = x.bit_length() - 1
+            joins[q] |= p
+            x ^= 1 << q
+    return [joins[col] | 1 << col for col in range(width)
+            if not pivots >> col & 1]
 
 
 def dual_code(c, flavor="euclidean"):

@@ -18,8 +18,7 @@ NEG_INF = float("-inf")
 DIVISOR_ENUM_CAP = 32
 
 # Largest exponent from_text accepts: a term x^e is built as a (e+1)-bit
-# int and later reduced one degree at a time, so an unbounded e from
-# outside input could ask for gigabytes and minutes.
+# int, so an unbounded e from outside input could ask for gigabytes.
 MAX_TEXT_DEGREE = 1 << 16
 
 
@@ -61,6 +60,20 @@ def divrem(f, d):
 def mod(f, d):
     """Remainder of f modulo d."""
     return divrem(f, d)[1]
+
+
+def mod_xn1(f, n):
+    """Remainder of f modulo x^n + 1, by folding.
+
+    x^k = 1 modulo x^n + 1 for every multiple k of n, so the bits of f
+    from k up fold onto the low k bits with one XOR.  Taking k close to
+    half of f's length halves f per fold: O(log deg f) big-int steps
+    instead of one per degree, as mod would take.
+    """
+    while f >> n:
+        k = max(f.bit_length() // (2 * n), 1) * n
+        f = (f & ((1 << k) - 1)) ^ (f >> k)
+    return f
 
 
 def divides(d, f):

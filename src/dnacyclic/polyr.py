@@ -33,8 +33,8 @@ class RingWord:
     @classmethod
     def from_polys(cls, n, f1, f2=0, f3=0):
         """Embed binary polynomials as a word, reducing each modulo x^n + 1."""
-        m = polyf2.xn1(n)
-        return cls(n, polyf2.mod(f1, m), polyf2.mod(f2, m), polyf2.mod(f3, m))
+        return cls(n, polyf2.mod_xn1(f1, n), polyf2.mod_xn1(f2, n),
+                   polyf2.mod_xn1(f3, n))
 
     @classmethod
     def from_elements(cls, elements):
@@ -120,10 +120,10 @@ class RingWord:
     def __mul__(self, other):
         """Cyclic convolution: the product in R[x]/(x^n - 1)."""
         self._check_same_length(other)
-        m = polyf2.xn1(self.n)
+        n = self.n
 
         def mm(a, b):
-            return polyf2.mod(polyf2.mul(a, b), m)
+            return polyf2.mod_xn1(polyf2.mul(a, b), n)
 
         l1 = mm(self.f1, other.f1)
         l2 = mm(self.f1, other.f2) ^ mm(self.f2, other.f1)

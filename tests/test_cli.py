@@ -173,8 +173,8 @@ def test_spec_length_bound(capsys, command):
 
 
 def test_spec_degree_bound(capsys):
-    # x^3000000 would be built as a 3-million-bit int and reduced one
-    # degree at a time; the parser refuses the term before that.
+    # x^3000000 would be built as a 3-million-bit int; the parser
+    # refuses the term before that.
     spec = json.dumps({"n": 8, "generators": [{"f2": "x^3000000"}]})
     start = time.perf_counter()
     code, out, err = run(capsys, ["canonical", "--spec", spec])
@@ -182,6 +182,21 @@ def test_spec_degree_bound(capsys):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+def test_many_generators_at_the_degree_bound(capsys):
+    # Each layer is reduced modulo x^n + 1 by folding, so terms at the
+    # degree bound cost microseconds, not one step per degree.
+    gen = {"f2": "x^65536", "u": "x^65535", "u2": "x^65534"}
+    one = json.dumps({"n": 8, "generators": [gen]})
+    many = json.dumps({"n": 8, "generators": [gen] * 200})
+    code, expected, _ = run(capsys, ["canonical", "--spec", one])
+    assert code == 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["canonical", "--spec", many])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == expected
 
 
 def test_cmd_distance_example(capsys):

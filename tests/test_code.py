@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
-from dnacyclic.code import CyclicCode, DEFAULT_ENUM_CAP, pack, rref, unpack
+from dnacyclic.code import (CyclicCode, DEFAULT_ENUM_CAP, Presentation,
+                            _presented_dim, pack, rref, unpack)
 from dnacyclic.polyf2 import CapExceeded
 from dnacyclic.polyr import RingWord, u2_all_ones
 
@@ -301,6 +302,66 @@ def test_canonical_presentation_round_trip():
         if a2 != m:
             assert polyf2.degree(p.p2) < polyf2.degree(a2)
             assert polyf2.degree(p.q) < polyf2.degree(a2)
+
+
+def rebuilt_presentation(c):
+    """The presentation whose case is the smallest generator set that
+    rebuilds c, with fields from the lowest basis row of each layer."""
+    n = c.n
+    mask = (1 << n) - 1
+    low = [0, 0, 0]
+    for r in c.rows:
+        low[2 - (r.bit_length() - 1) // n] = r
+    g, p1, p2 = low[0] >> 2 * n, low[0] >> n & mask, low[0] & mask
+    a1, q, a2 = low[1] >> n, low[1] & mask, low[2]
+    for p in (Presentation(1, g, p1, p2, 0, 0, 0),
+              Presentation(2, g, p1, p2, 0, 0, a2)):
+        if CyclicCode.from_generators(n, p.generator_words(n)) == c:
+            return p
+    return Presentation(3, g, p1, p2, a1, q, a2)
+
+
+@st.composite
+def even_length_codes(draw):
+    """Even n in 2..32: zero and full codes, structured ideals from
+    divisors of x^n + 1 times u^k, and random words."""
+    n = draw(st.sampled_from(range(2, 33, 2)))
+    m = polyf2.xn1(n)
+    layer = st.integers(0, (1 << n) - 1)
+    structured = st.builds(
+        lambda f, a, b, c, k: RingWord.from_polys(
+            n, *([0] * k + [polyf2.mul(polyf2.gcd(f | 1, m), x)
+                            for x in (a, b, c)])[:3]),
+        st.integers(0, m), layer, layer, layer, st.integers(0, 2))
+    word = st.one_of(st.just(RingWord(n, 1)), structured,
+                     st.builds(RingWord, st.just(n), layer, layer, layer))
+    return CyclicCode.from_generators(n, draw(st.lists(word, max_size=3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(even_length_codes())
+@example(CyclicCode.zero(2))
+@example(CyclicCode.zero(32))
+@example(CyclicCode.full(32))
+def test_case_tag_matches_rebuild(c):
+    assert c.canonical_presentation() == rebuilt_presentation(c)
+
+
+def test_presented_dim_matches_built_ideal():
+    rng = random.Random(31)
+    for n in range(1, 13):
+        divisors = polyf2.divisors_of_xn1(n)
+        for g in divisors:
+            subs = [d for d in divisors if polyf2.divides(d, g)]
+            for _ in range(3):
+                p1, p2 = rng.randrange(1 << n), rng.randrange(1 << n)
+                for a2 in (0, rng.choice(subs)):
+                    words = [RingWord.from_polys(n, g, p1, p2)]
+                    if a2:
+                        words.append(RingWord.from_polys(n, 0, 0, a2))
+                    expected = CyclicCode.from_generators(n, words).dim
+                    assert _presented_dim(n, g, p1, p2, a2) == expected, (
+                        n, g, p1, p2, a2)
 
 
 def test_canonical_presentation_odd_n():

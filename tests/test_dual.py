@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
-from dnacyclic.code import CyclicCode, Presentation, unpack
+from dnacyclic.code import CyclicCode, Presentation, rref, unpack
 from dnacyclic.dual import (check_dual_reversibility_equivalence, dual_brute,
                             dual_code, inner_euclidean, inner_hermitian,
                             verify_dual_divisibility)
-from dnacyclic.polyr import RingWord
+from dnacyclic.polyr import RingWord, u2_all_ones
 
 
 def random_word(rng, n):
@@ -116,6 +118,77 @@ def test_dual_matches_brute():
             c = random_code(rng, n)
             for flavor in ("euclidean", "hermitian"):
                 assert dual_code(c, flavor) == dual_brute(c, flavor)
+
+
+def three_equation_dual(c, flavor):
+    """Rows and generators of the dual, solved with all three layer
+    equations per basis row and a column-scan kernel."""
+    n = c.n
+    mask = (1 << n) - 1
+    masks = []
+    for b in c.rows:
+        g1, g2, g3 = b >> 2 * n, (b >> n) & mask, b & mask
+        if flavor == "hermitian":
+            g3 ^= mask
+        masks.append(g1 << 2 * n)
+        masks.append(g2 << 2 * n | g1 << n)
+        masks.append(g3 << 2 * n | g2 << n | g1)
+    if flavor == "hermitian":
+        masks.append(mask << 2 * n)
+    pivots = {r.bit_length() - 1: r for r in rref(masks)}
+    kernel = []
+    for col in range(3 * n):
+        if col in pivots:
+            continue
+        v = 1 << col
+        for p, r in pivots.items():
+            if (r >> col) & 1:
+                v |= 1 << p
+        kernel.append(v)
+    return rref(kernel), tuple(unpack(n, v) for v in kernel)
+
+
+@st.composite
+def dual_inputs(draw):
+    """n in 1..40 and generators: zero, one, u- or u^2-only words,
+    divisor multiples of x^n + 1 and random words, with the all-u^2
+    word added on some draws."""
+    n = draw(st.integers(1, 40))
+    m = polyf2.xn1(n)
+    layer = st.integers(0, (1 << n) - 1)
+    divisor = st.builds(lambda f: polyf2.gcd(f | 1, m), st.integers(0, m))
+    word = st.one_of(
+        st.just(RingWord(n)),
+        st.just(RingWord(n, 1)),
+        st.builds(lambda f: RingWord(n, 0, f), layer),
+        st.builds(lambda f: RingWord(n, 0, 0, f), layer),
+        st.builds(lambda d, k: RingWord.from_polys(n, *([0] * k + [d])),
+                  divisor, st.integers(0, 2)),
+        st.builds(RingWord, st.just(n), layer, layer, layer))
+    gens = draw(st.lists(word, max_size=3))
+    if draw(st.booleans()):
+        gens.append(u2_all_ones(n))
+    return n, gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dual_inputs())
+@example((1, []))
+@example((40, []))
+@example((7, [RingWord(7, 1)]))
+@example((6, [RingWord.from_polys(6, 0, polyf2.from_text("x^2+1"))]))
+@example((6, [RingWord.from_polys(6, 0, 0, polyf2.from_text("x^2+1"))]))
+@example((6, [RingWord.from_polys(6, 0, 0, polyf2.from_text("x^2+1")),
+              u2_all_ones(6)]))
+@example((8, [RingWord.from_poly_text(8, "x^6+x^4+x^2+1;x^5+x;x^4+x^2")]))
+def test_dual_matches_three_equation_reference(case):
+    # One u^2-layer equation per basis row spans the same equations as
+    # the three layer equations, so the kernel basis is the same too.
+    n, gens = case
+    c = CyclicCode.from_generators(n, gens)
+    for flavor in ("euclidean", "hermitian"):
+        d = dual_code(c, flavor)
+        assert (d.rows, d.generators) == three_equation_dual(c, flavor)
 
 
 def test_dual_brute_rejects_large_n():

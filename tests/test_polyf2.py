@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnacyclic import polyf2
 from dnacyclic.polyf2 import (CapExceeded, NEG_INF, all_ones, degree,
                               divides, divrem, divisors_of_xn1, from_text, gcd,
                               irreducible_factors, is_self_reciprocal, mod,
-                              mul, reciprocal, to_text, xn1)
+                              mod_xn1, mul, reciprocal, to_text, xn1)
 
 X8_1 = xn1(8)
 
@@ -150,6 +152,18 @@ def test_all_ones_identity():
 
 def test_mod():
     assert mod(from_text("x^2"), from_text("x+1")) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.integers(0, (1 << (1 << 12)) - 1), st.integers(1, 70))
+@example(0, 1)
+@example(1, 1)
+@example(0b111, 1)
+@example(1 << 70, 70)
+@example((1 << 4096) - 1, 3)
+@example(1 << 65536, 8)
+def test_mod_xn1_matches_mod(f, n):
+    assert mod_xn1(f, n) == mod(f, xn1(n))
 
 
 def test_text_round_trip():
