@@ -4,9 +4,17 @@ Each checker transcribes an exact polynomial criterion for closure of a
 one- or two-generator cyclic code of even length under coordinate
 reversal (and, for the rc variants, additionally requires the all-u^2
 word to be a codeword).  The verdict names which case of the criterion
-certified the property; when several cases hold simultaneously the first
-in the fixed order A, B, C, D is reported, and that ordering is part of
-the contract.
+certified the property; the cases exclude each other, so at most one
+applies.
+
+The two presentations obey one criterion.  u^2 (g + u p1 + u^2 p2) =
+u^2 g, so <g + u p1 + u^2 p2> = <g + u p1 + u^2 p2, u^2 g>: one
+generator is two generators at a2 = g.  With r = deg g, s1 =
+x^(r - deg p1) reciprocal(p1) and s2 likewise, case A (s1 = p1) asks
+that a2 divide s2 + p2 and case B (s1 = g + p1) that a2 divide
+s2 + p1 + p2.  Both residues have degree at most r, so at a2 = g they
+must be 0 or g: the one-generator cases A and C are case A with
+residue 0 and g, and B and D are case B likewise.
 
 Degree conventions: deg 0 = NEG_INF, so a zero p1/p2 never violates the
 degree hypothesis and its shifted reciprocal is simply 0.  With deg p <=
@@ -56,11 +64,6 @@ class Verdict:
         }
 
 
-def _validate_even(n):
-    if n < 1 or n % 2:
-        raise ValueError(f"checker requires an even length, got n = {n}")
-
-
 def _degree_hypothesis(g, p1, p2):
     """Notes for a violated r > max(deg p1, deg p2) hypothesis, else "".
 
@@ -80,17 +83,17 @@ def _degree_hypothesis(g, p1, p2):
 
 @functools.lru_cache(maxsize=1024)
 def _generator_facts(n, g, a2):
-    """(chain, notes) for nonzero g; a2 = 0 stands for one generator.
+    """(chain, notes) for nonzero g; a2 = None stands for one generator.
 
     Both depend on (n, g, a2) alone, so a search over (p1, p2) reads
-    them from the cache: chain is whether a2 | g | x^n+1, notes the
-    self-reciprocity failures of g then a2.
+    them from the cache: chain is whether a2 | g | x^n+1 (a2 = 0 breaks
+    it), notes the self-reciprocity failures of g then a2.
     """
     chain = (polyf2.divides(g, polyf2.xn1(n))
-             and (a2 == 0 or polyf2.divides(a2, g)))
+             and (a2 is None or (a2 != 0 and polyf2.divides(a2, g))))
     notes = "; ".join(
         f"{name} is not self-reciprocal"
-        for name, f in (("g", g), ("a2", a2))
+        for name, f in (("g", g), ("a2", a2 or 0))
         if not polyf2.is_self_reciprocal(f))
     return chain, notes
 
@@ -99,61 +102,49 @@ _CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABCD"}
 _NO_CASE = Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
 
 
-def check_reversible_single(n, g, p1, p2):
-    """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A-D."""
-    _validate_even(n)
-    if g == 0:
-        raise ValueError("generator polynomial g must be nonzero")
-    chain, recip_notes = _generator_facts(n, g, 0)
-    notes = []
-    if not chain:
-        notes.append("g does not divide x^n+1")
-    hyp = _degree_hypothesis(g, p1, p2)
-    if hyp:
-        notes.append(hyp)
-    if notes:
-        return Verdict(False, "NONE", False, "; ".join(notes))
-    if recip_notes:
-        return Verdict(False, "NONE", True, recip_notes)
-    w = g.bit_length()
-    s1 = bit_reverse(p1, w)
-    if s1 != p1 and s1 != g ^ p1:
-        return _NO_CASE  # every case needs s1 = p1 or s1 = g + p1
-    s2 = bit_reverse(p2, w)
-    if s1 == p1 and s2 == p2:
-        return _CERTIFIED["A"]
-    if s1 == g ^ p1 and s2 == p1 ^ p2:
-        return _CERTIFIED["B"]
-    if s1 == p1 and s2 == g ^ p2:
-        return _CERTIFIED["C"]
-    if s1 == g ^ p1 and s2 == g ^ p1 ^ p2:
-        return _CERTIFIED["D"]
-    return _NO_CASE
+def _reversible(n, g, p1, p2, a2):
+    """Reversibility of <g + u p1 + u^2 p2, u^2 a2>; a2 None: one generator.
 
-
-def check_reversible_double(n, g, p1, p2, a2):
-    """Reversibility criterion for C = <g + u p1 + u^2 p2, u^2 a2>."""
-    _validate_even(n)
+    A broken chain is a hypothesis failure for one generator and an
+    error for two.  The s1 test picks the branch and its residue; the
+    code is reversible exactly when (a2 or g) divides the residue.
+    """
+    if n < 1 or n % 2:
+        raise ValueError(f"checker requires an even length, got n = {n}")
     if g == 0:
         raise ValueError("generator polynomial g must be nonzero")
     chain, recip_notes = _generator_facts(n, g, a2)
-    if a2 == 0 or not chain:
+    if not chain and a2 is not None:
         raise ValueError("divisibility chain a2 | g | x^n+1 violated")
     hyp = _degree_hypothesis(g, p1, p2)
+    if not chain:
+        hyp = "; ".join(filter(None, ("g does not divide x^n+1", hyp)))
     if hyp:
         return Verdict(False, "NONE", False, hyp)
     if recip_notes:
         return Verdict(False, "NONE", True, recip_notes)
     w = g.bit_length()
     s1 = bit_reverse(p1, w)
-    if s1 != p1 and s1 != g ^ p1:
-        return _NO_CASE  # every case needs s1 = p1 or s1 = g + p1
-    s2 = bit_reverse(p2, w)
-    if s1 == p1 and polyf2.divides(a2, s2 ^ p2):
-        return _CERTIFIED["A"]
-    if s1 == g ^ p1 and polyf2.divides(a2, s2 ^ p1 ^ p2):
-        return _CERTIFIED["B"]
-    return _NO_CASE
+    if s1 == p1:
+        residue, tags = bit_reverse(p2, w) ^ p2, "AC"
+    elif s1 == g ^ p1:
+        residue, tags = bit_reverse(p2, w) ^ p1 ^ p2, "BD"
+    else:
+        return _NO_CASE
+    if not polyf2.divides(a2 or g, residue):
+        return _NO_CASE
+    # deg residue <= deg g, so for one generator the residue is 0 or g.
+    return _CERTIFIED[tags[a2 is None and residue != 0]]
+
+
+def check_reversible_single(n, g, p1, p2):
+    """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A-D."""
+    return _reversible(n, g, p1, p2, None)
+
+
+def check_reversible_double(n, g, p1, p2, a2):
+    """Reversibility criterion for C = <g + u p1 + u^2 p2, u^2 a2>."""
+    return _reversible(n, g, p1, p2, a2)
 
 
 def _u2_all_ones_member(n, g, p1, p2, a2):
@@ -187,11 +178,9 @@ def _with_membership(verdict, n, g, p1, p2, a2):
 
 def check_rc_single(n, g, p1, p2):
     """Reverse-complement criterion: reversibility plus the all-u^2 word."""
-    verdict = check_reversible_single(n, g, p1, p2)
-    return _with_membership(verdict, n, g, p1, p2, 0)
+    return _with_membership(_reversible(n, g, p1, p2, None), n, g, p1, p2, 0)
 
 
 def check_rc_double(n, g, p1, p2, a2):
     """Two-generator reverse-complement criterion."""
-    verdict = check_reversible_double(n, g, p1, p2, a2)
-    return _with_membership(verdict, n, g, p1, p2, a2)
+    return _with_membership(_reversible(n, g, p1, p2, a2), n, g, p1, p2, a2)

@@ -178,7 +178,9 @@ def to_text(f):
 def from_text(s):
     """Parse the to_text format; duplicate or malformed terms are rejected.
 
-    So is a term x^e with e above MAX_TEXT_DEGREE, before its int is built.
+    An exponent is ASCII decimal digits only, so "x^1_0" and non-ASCII
+    digits are malformed.  A term x^e with e above MAX_TEXT_DEGREE is
+    rejected before its int is built.
     """
     s = s.strip().replace(" ", "")
     if not s:
@@ -191,13 +193,11 @@ def from_text(s):
             b = 1
         elif term == "x":
             b = 2
-        elif term.startswith("x^"):
+        elif term.startswith("x^") and term[2:].isascii() and term[2:].isdigit():
             try:
                 e = int(term[2:])
-            except ValueError:
+            except ValueError:  # more digits than int() converts
                 raise ValueError(f"bad polynomial term {term!r}") from None
-            if e < 0:
-                raise ValueError(f"bad polynomial term {term!r}")
             if e > MAX_TEXT_DEGREE:
                 raise ValueError(f"term {term!r} exceeds the degree bound "
                                  f"{MAX_TEXT_DEGREE}")

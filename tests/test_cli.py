@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,8 @@ def test_cmd_check_bad_spec(capsys):
     '{"n": true, "generators": []}',
     '{"n": 8, "generators": [{"f2": 5}]}',
     '{"n": 8, "generators": [{"f2": "1", "u2": null}]}',
+    '{"n": 8, "generators": [{"f2": "x^1_0"}]}',
+    '{"n": 8, "generators": [{"f2": "x^\\u0663"}]}',
 ])
 def test_bad_spec_fields_are_input_errors(capsys, spec):
     code, out, err = run(capsys, ["distance", "--spec", spec])
@@ -304,6 +307,18 @@ def test_cmd_search_rediscovers_example(capsys):
     assert match
     assert match[0]["min_distance"] == 4
     assert match[0]["cardinality"] == 64
+
+
+@pytest.mark.parametrize("argv, sha1, exit_code", [
+    (["search", "--n", "8", "--require", "rc"],
+     "5ac9954b306be864e4d97933756254404231fc67", 0),
+    (["search", "--n", "4", "--max-configs", "3"],
+     "497f2ff384962e5d506e9d874b30a689db26134e", 3),
+])
+def test_search_stdout_is_pinned(capsys, argv, sha1, exit_code):
+    code, out, _ = run(capsys, argv)
+    assert code == exit_code
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 @pytest.mark.parametrize("require", ["rc", "reversible"])

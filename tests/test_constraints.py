@@ -4,8 +4,8 @@ import pytest
 
 from dnacyclic import polyf2
 from dnacyclic.code import CyclicCode
-from dnacyclic.constraints import (Verdict, check_rc_double, check_rc_single,
-                                   check_reversible_double,
+from dnacyclic.constraints import (Verdict, _with_membership, check_rc_double,
+                                   check_rc_single, check_reversible_double,
                                    check_reversible_single)
 from dnacyclic.polyr import RingWord, divides_xn_minus_1, u2_all_ones
 
@@ -245,3 +245,163 @@ def test_hypothesis_notes_are_exact():
             check_reversible_double(8, g, 0, 0, 1)
         with pytest.raises(ValueError, match="divisibility chain"):
             check_reversible_double(8, G, 0, 0, 0)
+
+
+def test_one_generator_is_two_at_a2_equal_g():
+    # <g + u p1 + u^2 p2> = <g + u p1 + u^2 p2, u^2 g>, so on every search
+    # candidate the one-generator cases A, C and B, D are the two-generator
+    # cases A and B at a2 = g.
+    merged = {"A": "A", "C": "A", "B": "B", "D": "B"}
+    candidates = 0
+    for n in (2, 4, 6, 8):
+        for g in polyf2.divisors_of_xn1(n):
+            r = polyf2.degree(g)
+            if not 1 <= r <= n - 1:
+                continue
+            for p1 in range(1 << r):
+                for p2 in range(1 << r):
+                    candidates += 1
+                    for single, double in (
+                            (check_reversible_single, check_reversible_double),
+                            (check_rc_single, check_rc_double)):
+                        one = single(n, g, p1, p2)
+                        two = double(n, g, p1, p2, g)
+                        assert one.satisfied == two.satisfied
+                        if one.satisfied:
+                            assert merged[one.case] == two.case
+    assert candidates == 23568
+
+
+# The two reversibility bodies as they stood before they were merged,
+# kept verbatim apart from the inlined (n, g, a2) facts: the reference
+# for the merged body's verdicts, notes, messages and raise order.
+
+def _reference_facts(n, g, a2):
+    chain = (polyf2.divides(g, polyf2.xn1(n))
+             and (a2 == 0 or polyf2.divides(a2, g)))
+    notes = "; ".join(
+        f"{name} is not self-reciprocal"
+        for name, f in (("g", g), ("a2", a2))
+        if not polyf2.is_self_reciprocal(f))
+    return chain, notes
+
+
+def _reference_degree(g, p1, p2):
+    w = g.bit_length()
+    if w > (p1 | p2).bit_length():
+        return ""
+    if w > p1.bit_length():
+        return ("deg g exceeds deg p1 but not deg p2; "
+                "the checker requires deg g > max(deg p1, deg p2)")
+    return "deg g must exceed both deg p1 and deg p2"
+
+
+_REF_NO_CASE = Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
+
+
+def _reference_single(n, g, p1, p2):
+    if n < 1 or n % 2:
+        raise ValueError(f"checker requires an even length, got n = {n}")
+    if g == 0:
+        raise ValueError("generator polynomial g must be nonzero")
+    chain, recip_notes = _reference_facts(n, g, 0)
+    notes = []
+    if not chain:
+        notes.append("g does not divide x^n+1")
+    hyp = _reference_degree(g, p1, p2)
+    if hyp:
+        notes.append(hyp)
+    if notes:
+        return Verdict(False, "NONE", False, "; ".join(notes))
+    if recip_notes:
+        return Verdict(False, "NONE", True, recip_notes)
+    w = g.bit_length()
+    s1 = polyf2.bit_reverse(p1, w)
+    if s1 != p1 and s1 != g ^ p1:
+        return _REF_NO_CASE
+    s2 = polyf2.bit_reverse(p2, w)
+    if s1 == p1 and s2 == p2:
+        return Verdict(True, "A", True)
+    if s1 == g ^ p1 and s2 == p1 ^ p2:
+        return Verdict(True, "B", True)
+    if s1 == p1 and s2 == g ^ p2:
+        return Verdict(True, "C", True)
+    if s1 == g ^ p1 and s2 == g ^ p1 ^ p2:
+        return Verdict(True, "D", True)
+    return _REF_NO_CASE
+
+
+def _reference_double(n, g, p1, p2, a2):
+    if n < 1 or n % 2:
+        raise ValueError(f"checker requires an even length, got n = {n}")
+    if g == 0:
+        raise ValueError("generator polynomial g must be nonzero")
+    chain, recip_notes = _reference_facts(n, g, a2)
+    if a2 == 0 or not chain:
+        raise ValueError("divisibility chain a2 | g | x^n+1 violated")
+    hyp = _reference_degree(g, p1, p2)
+    if hyp:
+        return Verdict(False, "NONE", False, hyp)
+    if recip_notes:
+        return Verdict(False, "NONE", True, recip_notes)
+    w = g.bit_length()
+    s1 = polyf2.bit_reverse(p1, w)
+    if s1 != p1 and s1 != g ^ p1:
+        return _REF_NO_CASE
+    s2 = polyf2.bit_reverse(p2, w)
+    if s1 == p1 and polyf2.divides(a2, s2 ^ p2):
+        return Verdict(True, "A", True)
+    if s1 == g ^ p1 and polyf2.divides(a2, s2 ^ p1 ^ p2):
+        return Verdict(True, "B", True)
+    return _REF_NO_CASE
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_merged_body_matches_reference():
+    # n = 0 and odd n raise; g = 0 raises; a2 = 0 and a2 = x^3+x+1 (not
+    # dividing most g) break the chain; g < 32 includes g not dividing
+    # x^n+1 and, at n = 14, non-self-reciprocal divisors such as x^3+x+1
+    # and (x^3+x+1)(x+1), whose a2 = x^3+x+1 is not self-reciprocal
+    # either; p1, p2 < 8 exceed deg g for the small g.
+    seen = set()
+
+    def same(check, reference, *args):
+        v = _outcome(check, *args)
+        assert v == _outcome(reference, *args)
+        seen.add(v if isinstance(v, str) else (v.case, v.notes))
+        if not isinstance(v, str):
+            a2 = args[4] if len(args) == 5 else 0
+            rc = check_rc_double if len(args) == 5 else check_rc_single
+            assert rc(*args) == _with_membership(v, *args[:4], a2)
+
+    for n in (0, 1, 2, 4, 6, 7, 8, 14):
+        for g in range(32):
+            for p1 in range(8):
+                for p2 in range(8):
+                    same(check_reversible_single, _reference_single,
+                         n, g, p1, p2)
+                    for a2 in sorted({0, 1, 3, 7, 11, g}):
+                        same(check_reversible_double, _reference_double,
+                             n, g, p1, p2, a2)
+    assert {"checker requires an even length, got n = 0",
+            "checker requires an even length, got n = 7",
+            "generator polynomial g must be nonzero",
+            "divisibility chain a2 | g | x^n+1 violated",
+            ("NONE", "g does not divide x^n+1"),
+            ("NONE", "g does not divide x^n+1; "
+                     "deg g must exceed both deg p1 and deg p2"),
+            ("NONE", "deg g exceeds deg p1 but not deg p2; "
+                     "the checker requires deg g > max(deg p1, deg p2)"),
+            ("NONE", "g is not self-reciprocal"),
+            ("NONE", "g is not self-reciprocal; a2 is not self-reciprocal"),
+            ("NONE", "no shifted-reciprocal case matches"),
+            ("A", ""), ("B", ""), ("C", "")} <= seen
+    # No "D", nor a one-generator "B": s1 = g + p1 forces p1(0) = 1, and
+    # s2 + p2 has equal coefficients at x^0 and x^r, so with g(0) = 1 it
+    # is neither p1 nor g + p1.

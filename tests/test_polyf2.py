@@ -178,7 +178,7 @@ def test_text_round_trip():
 
 
 def test_text_rejects_garbage():
-    for bad in ("", "x^-1", "y+1", "1+1", "x^"):
+    for bad in ("", "x^-1", "y+1", "1+1", "x^", "x^1_0", "x^\u0663"):
         with pytest.raises(ValueError):
             from_text(bad)
 
