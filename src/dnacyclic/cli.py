@@ -138,19 +138,26 @@ def _cmd_table2(args):
     return 0
 
 
+def _checkers(mode):
+    """The public (single, double) checker pair for a --mode/--require value.
+
+    Read off the constraints module at each call, never bound at import,
+    so that a wrapper put on those module attributes after import sees
+    every checker call.
+    """
+    if mode == "reversible":
+        return (constraints.check_reversible_single,
+                constraints.check_reversible_double)
+    return constraints.check_rc_single, constraints.check_rc_double
+
+
 def _theorem_verdict(n, triples, mode):
     """Run the matching checker for a 1- or 2-generator structural spec."""
+    single, double = _checkers(mode)
     if len(triples) == 1:
-        g, p1, p2 = triples[0]
-        if mode == "reversible":
-            return constraints.check_reversible_single(n, g, p1, p2)
-        return constraints.check_rc_single(n, g, p1, p2)
+        return single(n, *triples[0])
     if len(triples) == 2 and triples[1][0] == 0 and triples[1][1] == 0:
-        g, p1, p2 = triples[0]
-        a2 = triples[1][2]
-        if mode == "reversible":
-            return constraints.check_reversible_double(n, g, p1, p2, a2)
-        return constraints.check_rc_double(n, g, p1, p2, a2)
+        return double(n, *triples[0], triples[1][2])
     raise ValueError("theorem checkers need one generator (g, p1, p2) or "
                      "two with the second of the form u^2*a2")
 
@@ -185,10 +192,14 @@ def _cmd_check(args):
 
 
 def _search_candidates(n):
-    """Yield the generator triples of each structural candidate for even n.
+    """Yield (g, p1, p2, a2) for each structural candidate of even length n.
 
-    Single candidates are [(g, p1, p2)], double ones [(g, p1, p2),
-    (0, 0, a2)], the shapes _load_spec returns and _theorem_verdict takes.
+    Plain packed polynomials, each of degree below n: g runs over the
+    divisors of x^n + 1 of degree 1 to n - 1, and p1, p2 over every
+    polynomial of degree below deg g.  Each (g, p1, p2) yields first the
+    one-generator candidate <g + u p1 + u^2 p2> with a2 = None, then the
+    two-generator candidate <g + u p1 + u^2 p2, u^2 a2> for each proper
+    divisor a2 of g.
     """
     divisors = polyf2.divisors_of_xn1(n)
     for g in divisors:
@@ -198,9 +209,9 @@ def _search_candidates(n):
         sub = [d for d in divisors if d != g and polyf2.divides(d, g)]
         for p1 in range(1 << r):
             for p2 in range(1 << r):
-                yield [(g, p1, p2)]
+                yield g, p1, p2, None
                 for a2 in sub:
-                    yield [(g, p1, p2), (0, 0, a2)]
+                    yield g, p1, p2, a2
 
 
 def _cmd_search(args):
@@ -211,29 +222,32 @@ def _cmd_search(args):
     truncated = False
     configs = 0
     seen = {}
-    for triples in _search_candidates(n):
+    single, double = _checkers(args.require)
+    for g, p1, p2, a2 in _search_candidates(n):
         configs += 1
         if configs > args.max_configs:
             truncated = True
             break
-        verdict = _theorem_verdict(n, triples, args.require)
+        verdict = (single(n, g, p1, p2) if a2 is None
+                   else double(n, g, p1, p2, a2))
         if not verdict.satisfied:
             continue
-        c = CyclicCode.from_generators(
-            n, [RingWord.from_polys(n, *t) for t in triples])
+        # Every layer has degree below n, so the words need no reduction.
+        gens = [RingWord(n, g, p1, p2)]
+        if a2 is not None:
+            gens.append(RingWord(n, 0, 0, a2))
+        c = CyclicCode.from_generators(n, gens)
         if c.rows in seen:
             continue
         if c.dim > (DEFAULT_ENUM_CAP if cap is None else cap):
             truncated = True
             continue
-        g, p1, p2 = triples[0]
-        a2 = polyf2.to_text(triples[1][2]) if len(triples) == 2 else None
         seen[c.rows] = {
             "n": n,
             "g": polyf2.to_text(g),
             "p1": polyf2.to_text(p1),
             "p2": polyf2.to_text(p2),
-            "a2": a2,
+            "a2": None if a2 is None else polyf2.to_text(a2),
             "case": verdict.case,
             "dim": c.dim,
             "cardinality": c.cardinality,

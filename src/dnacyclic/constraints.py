@@ -14,7 +14,15 @@ x^(r - deg p1) reciprocal(p1) and s2 likewise, case A (s1 = p1) asks
 that a2 divide s2 + p2 and case B (s1 = g + p1) that a2 divide
 s2 + p1 + p2.  Both residues have degree at most r, so at a2 = g they
 must be 0 or g: the one-generator cases A and C are case A with
-residue 0 and g, and B and D are case B likewise.
+residue 0 and g, and B and D would be case B likewise.
+
+One generator never certifies through case B, so the checker returns
+no case at once there.  The s1 test is reached only when g | x^n+1,
+so g(0) = 1, and deg p1, deg p2 < r; at r = 0 both are 0 and s1 = p1.
+At x^r, s1 = g + p1 reads p1(0) = 1, so p1 is 1 at x^0 and 0 at x^r.
+s2 + p2 has equal coefficients at x^0 and x^r, so s2 + p2 + p1 has
+unequal ones there, while 0 and g have equal ones: the residue is
+neither, and g does not divide it.
 
 Degree conventions: deg 0 = NEG_INF, so a zero p1/p2 never violates the
 degree hypothesis and its shifted reciprocal is simply 0.  With deg p <=
@@ -98,7 +106,7 @@ def _generator_facts(n, g, a2):
     return chain, notes
 
 
-_CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABCD"}
+_CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABC"}
 _NO_CASE = Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
 
 
@@ -126,15 +134,16 @@ def _reversible(n, g, p1, p2, a2):
     w = g.bit_length()
     s1 = bit_reverse(p1, w)
     if s1 == p1:
-        residue, tags = bit_reverse(p2, w) ^ p2, "AC"
-    elif s1 == g ^ p1:
-        residue, tags = bit_reverse(p2, w) ^ p1 ^ p2, "BD"
+        residue, tag = bit_reverse(p2, w) ^ p2, "A"
+    elif s1 == g ^ p1 and a2 is not None:
+        # One generator never certifies here (module docstring).
+        residue, tag = bit_reverse(p2, w) ^ p1 ^ p2, "B"
     else:
         return _NO_CASE
     if not polyf2.divides(a2 or g, residue):
         return _NO_CASE
     # deg residue <= deg g, so for one generator the residue is 0 or g.
-    return _CERTIFIED[tags[a2 is None and residue != 0]]
+    return _CERTIFIED["C" if a2 is None and residue else tag]
 
 
 def check_reversible_single(n, g, p1, p2):

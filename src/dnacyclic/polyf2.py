@@ -10,6 +10,7 @@ All functions are pure and all values immutable, hence thread-safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 NEG_INF = float("-inf")
@@ -90,8 +91,13 @@ def gcd(f, g):
     return f
 
 
+@functools.lru_cache(maxsize=1024)
 def bit_reverse(v, width):
-    """Reverse the low `width` bits of v (v must fit in `width` bits)."""
+    """Reverse the low `width` bits of v (v must fit in `width` bits).
+
+    Cached: a search reverses the same few short layers for every
+    candidate, and a cache hit costs less than the string round trip.
+    """
     return int(bin(v | 1 << width)[:2:-1] or "0", 2)
 
 

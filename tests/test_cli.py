@@ -314,11 +314,46 @@ def test_cmd_search_rediscovers_example(capsys):
      "5ac9954b306be864e4d97933756254404231fc67", 0),
     (["search", "--n", "4", "--max-configs", "3"],
      "497f2ff384962e5d506e9d874b30a689db26134e", 3),
+    (["search", "--n", "6", "--require", "reversible"],
+     "6cccb194c1a6bbc70ff5cc8977e7cfb1bb9107e3", 0),
+    # Truncated by the dim cap, then filtered by distance.
+    (["search", "--n", "6", "--cap", "8", "--min-distance", "2"],
+     "4e811a31612212224f36b3a3870c1b8be105814f", 3),
 ])
 def test_search_stdout_is_pinned(capsys, argv, sha1, exit_code):
     code, out, _ = run(capsys, argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_search_calls_the_module_checkers(capsys, monkeypatch):
+    """search calls the constraints checkers as they stand when it runs.
+
+    Wrappers put on the module attributes after import must see one
+    checker call per candidate and one build per certified candidate.
+    """
+    checks = []
+    codes = []
+
+    def counted(fn, log):
+        def wrapper(*args):
+            result = fn(*args)
+            log.append(result)
+            return result
+        return wrapper
+
+    for name in ("check_rc_single", "check_rc_double"):
+        monkeypatch.setattr(constraints, name,
+                            counted(getattr(constraints, name), checks))
+    build = CyclicCode.from_generators.__func__
+    monkeypatch.setattr(CyclicCode, "from_generators",
+                        classmethod(counted(build, codes)))
+    code, out, _ = run(capsys, ["search", "--n", "6", "--require", "rc"])
+    assert code == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert len(checks) == summary["configs"] == 8792
+    assert sum(v.satisfied for v in checks) == len(codes) == 1329
+    assert len({c.rows for c in codes}) == summary["hits"] == 89
 
 
 @pytest.mark.parametrize("require", ["rc", "reversible"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -551,4 +552,7 @@ def test_span_matches_full_expansion(case):
         for _ in range(3):
             expansions.extend(pack(w.shift(i)) for i in range(n))
             w = w.times_u()
-    assert CyclicCode.from_generators(n, gens).rows == reference_rref(expansions)
+    rows = reference_rref(expansions)
+    # The build order of the chains must not change the unique RREF.
+    for order in itertools.permutations(gens):
+        assert CyclicCode.from_generators(n, order).rows == rows

@@ -405,3 +405,31 @@ def test_merged_body_matches_reference():
     # No "D", nor a one-generator "B": s1 = g + p1 forces p1(0) = 1, and
     # s2 + p2 has equal coefficients at x^0 and x^r, so with g(0) = 1 it
     # is neither p1 nor g + p1.
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_search_inputs_match_reference(n):
+    # The search's inputs at lengths past the exhaustive tests: every
+    # divisor g of x^n+1 with deg g <= 6, all p1, p2 below deg g, and
+    # every a2 dividing g.  One generator's case B branch stops at once
+    # here, so these are the inputs where that shortcut could differ.
+    divisors = polyf2.divisors_of_xn1(n)
+    cases = set()
+    for g in divisors:
+        r = polyf2.degree(g)
+        if r > 6:
+            continue
+        subs = [d for d in divisors if polyf2.divides(d, g)]
+        for p1 in range(1 << r):
+            for p2 in range(1 << r):
+                v = check_reversible_single(n, g, p1, p2)
+                assert v == _reference_single(n, g, p1, p2)
+                assert check_rc_single(n, g, p1, p2) == _with_membership(
+                    v, n, g, p1, p2, 0)
+                cases.add(v.case)
+                for a2 in subs:
+                    v = check_reversible_double(n, g, p1, p2, a2)
+                    assert v == _reference_double(n, g, p1, p2, a2)
+                    assert check_rc_double(n, g, p1, p2, a2) == (
+                        _with_membership(v, n, g, p1, p2, a2))
+    assert cases == {"A", "C", "NONE"}
