@@ -43,8 +43,10 @@ dimensions of its one- and two-generator subcodes, which come from
 torsion degrees alone, so no subcode is built.
 
 Codes are immutable after construction.  Closure and distance are exact
-decisions on the basis: reversal is GF(2)-linear, so the code is
-reversible exactly when each basis row's reversal reduces to zero;
+decisions on the basis.  The lowest rows of the three layers generate
+the code as an ideal, and reversal maps k * w to phi(k) * reverse(w)
+with phi: x -> x^-1 a ring automorphism, so the code is reversible
+exactly when those at most three rows' reversals reduce to zero;
 complement is translation by the all-u^2 word, so closure under it is
 membership of that word; and the minimum Hamming distance equals that
 of the u^2-subcode (the socle), whose at most 2^n words are walked.
@@ -289,11 +291,17 @@ class CyclicCode:
     def is_reversible(self, cap=None):
         """Whether the reversal of every codeword is a codeword.
 
-        Reversal is GF(2)-linear, so checking the basis rows decides it.
+        The lowest rows l0, l1, l2 of the three layers generate the code
+        as an ideal: the layer-i part of li generates the torsion code
+        T_i, so subtracting multiples of l0, then l1, then l2 clears a
+        codeword's unit, u and u^2 layers in turn.  Reversal maps k * w
+        to phi(k) * reverse(w) with phi: x -> x^-1 a ring automorphism,
+        so the code is reversible exactly when each li's reversal is a
+        codeword; this holds for every n, odd n included.
         """
         self._check_cap(cap)
         return all(self._reduce(pack(unpack(self.n, r).reverse())) == 0
-                   for r in self.rows)
+                   for r in self._lowest_rows())
 
     def is_complement_closed(self, cap=None):
         """Whether the code is closed under the coordinatewise complement.

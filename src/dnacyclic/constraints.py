@@ -14,7 +14,7 @@ x^(r - deg p1) reciprocal(p1) and s2 likewise, case A (s1 = p1) asks
 that a2 divide s2 + p2 and case B (s1 = g + p1) that a2 divide
 s2 + p1 + p2.  Both residues have degree at most r, so at a2 = g they
 must be 0 or g: the one-generator cases A and C are case A with
-residue 0 and g, and B and D would be case B likewise.
+residue 0 and g.
 
 One generator never certifies through case B, so the checker returns
 no case at once there.  The s1 test is reached only when g | x^n+1,
@@ -59,7 +59,7 @@ from .polyf2 import bit_reverse
 @dataclass(frozen=True)
 class Verdict:
     satisfied: bool
-    case: str  # "A", "B", "C", "D" or "NONE"
+    case: str  # "A" or "C" for one generator, "A" or "B" for two, else "NONE"
     hypothesis_ok: bool
     notes: str = ""
 
@@ -147,7 +147,7 @@ def _reversible(n, g, p1, p2, a2):
 
 
 def check_reversible_single(n, g, p1, p2):
-    """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A-D."""
+    """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A and C."""
     return _reversible(n, g, p1, p2, None)
 
 

@@ -125,6 +125,21 @@ def test_cmd_check_non_self_reciprocal_both(capsys):
     assert payload["agreement"] is True
 
 
+@pytest.mark.parametrize("mode", ["reversible", "rc"])
+def test_cmd_check_search_family_witness(capsys, mode):
+    # g = (x+1)^3 divides x^4+1, so <g + u> is a search candidate, but
+    # it does not divide x^4 - 1 in R: its code is reversible and
+    # rc-closed while no case of the criterion certifies it.
+    spec = '{"n":4,"generators":[{"f2":"x^3+x^2+x+1","u":"1"}]}'
+    code, out, _ = run(capsys, ["check", "--spec", spec, "--mode", mode,
+                                "--method", "both"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["oracle"]["satisfied"] is True
+    assert payload["theorem"]["satisfied"] is False
+    assert payload["agreement"] is False
+
+
 def test_cmd_check_bad_spec(capsys):
     code, _, err = run(capsys, ["check", "--spec", '{"n": 0}'])
     assert code == 2

@@ -556,3 +556,26 @@ def test_span_matches_full_expansion(case):
     # The build order of the chains must not change the unique RREF.
     for order in itertools.permutations(gens):
         assert CyclicCode.from_generators(n, order).rows == rows
+
+
+def all_rows_reversible(c):
+    """Reference decision: the reversal of every basis row is a codeword."""
+    return all(c._reduce(pack(unpack(c.n, r).reverse())) == 0 for r in c.rows)
+
+
+# f = x^3 + x + 1 is not self-reciprocal, and at n = 7 each layer's
+# lowest row alone exposes one of these codes: <u^2 f> only layer 2's,
+# <u f, u^2> only layer 1's, <f, u> only layer 0's, and <f, u^2> layers
+# 0 and 1 but not 2.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_sets())
+@example((5, []))
+@example((5, [RingWord(5, 1)]))
+@example((7, [RingWord(7, 0, 0, 0b1011)]))
+@example((7, [RingWord(7, 0, 0b1011, 0), RingWord(7, 0, 0, 1)]))
+@example((7, [RingWord(7, 0b1011, 0, 0), RingWord(7, 0, 0, 1)]))
+@example((7, [RingWord(7, 0b1011, 0, 0), RingWord(7, 0, 1, 0)]))
+def test_reversible_from_lowest_rows_matches_all_rows(case):
+    n, gens = case
+    c = CyclicCode.from_generators(n, gens)
+    assert c.is_reversible(cap=3 * n) == all_rows_reversible(c)
