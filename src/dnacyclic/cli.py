@@ -9,8 +9,9 @@ where "f2" is the unit layer and "u"/"u2" the u- and u^2-layers of one
 generator word.  DNA output encodes each ring coordinate as one
 dinucleotide, so reversal acts on codon blocks, never on raw
 nucleotides.  The codon mapping itself is defined only in `ring`; the
-encoder here reads a word's three layers two coordinates at a time
-through a 64-entry table of codon pairs built from `ring.to_codon`.
+one codec here writes a word as one hex digit per coordinate, its ring
+element, and translates the digits by tables built from `ring.to_codon`
+and `ring.token`.
 
 `main(argv)` may be called repeatedly in one process: the argument
 parser is built on the first call and reused, as parsing keeps no state
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import constraints, dual, polyf2, polyr, ring
-from .code import CyclicCode, DEFAULT_ENUM_CAP
+from .code import CyclicCode, DEFAULT_ENUM_CAP, gray_walk, pack
 from .polyf2 import CapExceeded
 from .polyr import RingWord
 
@@ -45,28 +46,35 @@ _REF_P2 = polyf2.from_text("x^4+x^2")
 MAX_LENGTH = 1024
 
 
-def _codon_pair(i):
-    # i packs coordinates 2k, 2k+1 of the layers f1, f2, f3 as
-    # f1 | f2 << 2 | f3 << 4 (two bits each, coordinate 2k low).
-    lo = (i & 1) | (i >> 2 & 1) << 1 | (i >> 4 & 1) << 2
-    hi = (i >> 1 & 1) | (i >> 3 & 1) << 1 | (i >> 5 & 1) << 2
-    return ring.to_codon(lo) + ring.to_codon(hi)
+# Digit e of a word's coordinate-major form to its codon or its token.
+_DNA = str.maketrans({str(e): ring.to_codon(e) for e in ring.ELEMENTS})
+_TOKENS = str.maketrans({str(e): ring.token(e) for e in ring.ELEMENTS})
+
+_BATCH = 1024  # the most lines one write of `enumerate` carries
 
 
-_CODON_PAIRS = tuple(_codon_pair(i) for i in range(64))
+def _spread(n, v):
+    """Packed 3n-bit word (code.pack) to one hex digit per coordinate, 0
+    first: digit i is f1_i | f2_i << 1 | f3_i << 2, a GF(2)-linear map."""
+    mask = (1 << n) - 1
+    spec = f"0{n}b"
+    return (int(format(v >> 2 * n, spec)[::-1], 16)
+            | int(format(v >> n & mask, spec)[::-1], 16) << 1
+            | int(format(v & mask, spec)[::-1], 16) << 2)
+
+
+def _render(n, words, fmt):
+    """Newline-joined lines of spread words (see _spread) in --format fmt."""
+    spec = f"0{n}x"
+    hexes = [format(v, spec) for v in words]
+    if fmt == "dna":
+        return "\n".join(hexes).translate(_DNA)
+    return "\n".join(map(",".join, hexes)).translate(_TOKENS)
 
 
 def word_to_dna(word):
     """DNA string of a word: one codon per coordinate, index 0 first."""
-    f1, f2, f3 = word.f1, word.f2, word.f3
-    pairs = []
-    for _ in range(0, word.n, 2):
-        pairs.append(_CODON_PAIRS[(f1 & 3) | (f2 & 3) << 2 | (f3 & 3) << 4])
-        f1 >>= 2
-        f2 >>= 2
-        f3 >>= 2
-    # For odd n the last pair carries a zero coordinate past the end.
-    return "".join(pairs)[:2 * word.n]
+    return _render(word.n, (_spread(word.n, pack(word)),), "dna")
 
 
 def dna_to_word(text):
@@ -294,8 +302,13 @@ def _cmd_distance(args):
 def _cmd_enumerate(args):
     n, words, _ = _load_spec(args.spec)
     c = CyclicCode.from_generators(n, words)
-    for w in c.words(args.cap):
-        print(word_to_dna(w) if args.format == "dna" else w.tokens())
+    c.check_cap(args.cap)
+    # _spread is linear, so the walk over the spread rows yields the
+    # spread of each word of c.packed_words(), in the same order.
+    walk = gray_walk([_spread(n, r) for r in c.rows])
+    out = sys.stdout
+    while batch := [v for _, v in zip(range(_BATCH), walk)]:
+        out.write(_render(n, batch, args.format) + "\n")
     return 0
 
 

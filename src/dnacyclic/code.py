@@ -123,6 +123,19 @@ def rref(vectors):
     return _rows_of(pivots)
 
 
+def gray_walk(rows):
+    """The 2^len(rows) subset XORs of rows in Gray-code order, 0 first.
+
+    Step k flips the row indexed by the trailing zeros of k, so a linear
+    image of the rows walks to the image of each sum, in the same order.
+    """
+    v = 0
+    yield v
+    for k in range(1, 1 << len(rows)):
+        v ^= rows[(k & -k).bit_length() - 1]
+        yield v
+
+
 def _presented_dim(n, g, p1, p2, a2):
     """GF(2) dimension of <g + u p1 + u^2 p2, u^2 a2>, without building it.
 
@@ -246,21 +259,20 @@ class CyclicCode:
             raise ValueError(f"length mismatch: {word.n} vs {self.n}")
         return self._reduce(pack(word)) == 0
 
-    def _check_cap(self, cap):
+    def check_cap(self, cap):
+        """Raise CapExceeded if the code has more than 2^cap words."""
         cap = DEFAULT_ENUM_CAP if cap is None else cap
         if self.dim > cap:
             raise CapExceeded(
                 f"enumeration of 2^{self.dim} codewords exceeds cap 2^{cap}")
 
     def packed_words(self, cap=None):
-        """All 2^dim packed codewords, Gray-code order, each exactly once."""
-        self._check_cap(cap)
-        rows = self.rows
-        v = 0
-        yield v
-        for k in range(1, 1 << len(rows)):
-            v ^= rows[(k & -k).bit_length() - 1]
-            yield v
+        """All 2^dim packed codewords, Gray-code order, each exactly once.
+
+        The cap is checked at the call, before the walk starts.
+        """
+        self.check_cap(cap)
+        return gray_walk(self.rows)
 
     def words(self, cap=None):
         """All codewords as RingWord values."""
@@ -278,7 +290,7 @@ class CyclicCode:
         """
         if self.dim == 0:
             return math.inf
-        self._check_cap(cap)
+        self.check_cap(cap)
         best = self.n + 1
         for v in self.u2_subcode().packed_words(cap):
             w = v.bit_count()
@@ -299,7 +311,7 @@ class CyclicCode:
         so the code is reversible exactly when each li's reversal is a
         codeword; this holds for every n, odd n included.
         """
-        self._check_cap(cap)
+        self.check_cap(cap)
         return all(self._reduce(pack(unpack(self.n, r).reverse())) == 0
                    for r in self._lowest_rows())
 
@@ -309,7 +321,7 @@ class CyclicCode:
         Complement adds u^2 to every coordinate, so the code is closed
         under it exactly when it contains the all-u^2 word.
         """
-        self._check_cap(cap)
+        self.check_cap(cap)
         return self._reduce((1 << self.n) - 1) == 0
 
     def is_rc_closed(self, cap=None):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import dnacyclic
 from dnacyclic import cli, constraints, polyf2, ring
-from dnacyclic.code import CyclicCode
+from dnacyclic.code import CyclicCode, pack
 from dnacyclic.cli import dna_to_word, main, reference_catalog, word_to_dna
 from dnacyclic.polyr import RingWord, u2_all_ones
 
@@ -39,9 +41,17 @@ def test_word_dna_round_trip():
     assert dna_to_word(s) == w
 
 
+def reference_dna(w):
+    return "".join(ring.to_codon(e) for e in w.elements())
+
+
+def reference_tokens(w):
+    return ",".join(ring.token(e) for e in w.elements())
+
+
 @st.composite
 def codec_words(draw):
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 64))
     ones = (1 << n) - 1
     layer = st.one_of(st.just(0), st.just(ones), st.integers(0, ones))
     return RingWord(n, draw(layer), draw(layer), draw(layer))
@@ -52,10 +62,47 @@ def codec_words(draw):
 @example(RingWord(1, 1, 1, 1))
 @example(RingWord(3))
 @example(RingWord(7, 0b1111111, 0, 0b1111111))
+@example(RingWord(7, 0b1, 0b10, 0b100))
+@example(RingWord(64, (1 << 64) - 1, 1 << 63, 1))
 def test_codec_matches_per_coordinate_reference(w):
     s = word_to_dna(w)
-    assert s == "".join(ring.to_codon(e) for e in w.elements())
+    assert s == reference_dna(w)
     assert dna_to_word(s) == w
+    spread = cli._spread(w.n, pack(w))
+    assert cli._render(w.n, [spread], "tokens") == reference_tokens(w)
+    assert RingWord.from_tokens(reference_tokens(w)) == w
+
+
+@st.composite
+def enumerate_specs(draw):
+    """(n, generator layer triples) of codes with dim up to 3n = 30."""
+    n = draw(st.integers(1, 10))
+    layer = st.one_of(st.just(0), st.integers(0, (1 << n) - 1))
+    return n, draw(st.lists(st.tuples(layer, layer, layer), max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(enumerate_specs())
+@example((7, [(0b1011, 0b10110, 0)]))  # 4096 lines: four full writes
+@example((1, [(1, 0, 0)]))
+@example((5, []))
+def test_enumerate_lines_match_words(case):
+    """enumerate lists c.words() in order, or exits 3 above the cap."""
+    n, triples = case
+    gens = [dict(zip(("f2", "u", "u2"), map(polyf2.to_text, t)))
+            for t in triples]
+    spec = json.dumps({"n": n, "generators": gens})
+    c = CyclicCode.from_generators(n, [RingWord(n, *t) for t in triples])
+    for fmt, ref in (("dna", reference_dna), ("tokens", reference_tokens)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["enumerate", "--spec", spec, "--format", fmt,
+                         "--cap", "13"])
+        if c.dim > 13:
+            assert (code, out.getvalue()) == (3, "")
+        else:
+            assert code == 0
+            assert out.getvalue().splitlines() == [ref(w) for w in c.words()]
 
 
 def test_dna_decode_rejects_bad_input():
@@ -336,6 +383,36 @@ def test_cmd_search_rediscovers_example(capsys):
      "4e811a31612212224f36b3a3870c1b8be105814f", 3),
 ])
 def test_search_stdout_is_pinned(capsys, argv, sha1, exit_code):
+    code, out, _ = run(capsys, argv)
+    assert code == exit_code
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+# n = 7, f = x^3 + x + 1: dim 15, so 32,768 lines over several writes.
+ODD_SPEC = json.dumps({
+    "n": 7,
+    "generators": [{"f2": "x^3+x+1", "u": "x^4+x^2+x", "u2": "x^2"}],
+})
+
+
+@pytest.mark.parametrize("argv, sha1, exit_code", [
+    (["enumerate", "--spec", EXAMPLE_SPEC, "--format", "dna"],
+     "45e60d3c092bab8da98fbe24127f66f266dfeff5", 0),
+    (["enumerate", "--spec", EXAMPLE_SPEC, "--format", "tokens"],
+     "934f9f6f5c1babaf8e9132ae8d811ac6750f3e7a", 0),
+    (["enumerate", "--spec", ODD_SPEC, "--format", "dna"],
+     "24369f68f90edb640fc5b57f59963a14e1bddd97", 0),
+    (["enumerate", "--spec", ODD_SPEC, "--format", "tokens"],
+     "103e260e8992a2845b0b1f9ec662ddbd0f22ca39", 0),
+    (["enumerate", "--spec", ZERO_SPEC, "--format", "dna"],
+     "dd132b7ca47a402ddfe4edbcc6ee361c1c88389b", 0),
+    (["enumerate", "--spec", ZERO_SPEC, "--format", "tokens"],
+     "bed9e7378f320dcf84421b328cc19b80befc62fa", 0),
+    # dim 6 above the cap: exit 3 before any line is written.
+    (["enumerate", "--spec", EXAMPLE_SPEC, "--format", "dna", "--cap", "5"],
+     "da39a3ee5e6b4b0d3255bfef95601890afd80709", 3),
+])
+def test_enumerate_stdout_is_pinned(capsys, argv, sha1, exit_code):
     code, out, _ = run(capsys, argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
