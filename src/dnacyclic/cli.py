@@ -18,7 +18,9 @@ parser is built on the first call and reused, as parsing keeps no state
 in it.
 
 Exit codes: 0 success, 1 check failed (property not satisfied),
-2 input error, 3 cap exceeded.
+2 input error, 3 cap exceeded.  A reader that closes stdout early (as
+`| head` does) ends the command quietly with exit 0: nothing is
+printed to stderr, and what is left unwritten is discarded.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -374,7 +377,16 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Output still buffered would raise again at the interpreter's
+        # final flush, so stdout's descriptor now points at the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except CapExceeded as exc:
         print(json.dumps({"error": "cap exceeded", "detail": str(exc)}),
               file=sys.stderr)

@@ -15,7 +15,12 @@ Then c2(v, u*b) = c1(v, b) and c2(v, u^2*b) = c0(v, b), and a code is an
 ideal, hence closed under u; so the u^2-layer equations against the
 basis rows already imply the other two layers.  The solution space is
 the dual ideal itself, since the orthogonal space of an ideal and the
-Hermitian extra equation are both invariant under x and u.  dual_brute
+Hermitian extra equation are both invariant under x and u.  The masks
+span a space closed under x, and so is the kernel, so both are read by
+rotation rather than bit by bit: the masks' RREF from one row per
+layer (see the code module), and the kernel, one vector per free
+column in ascending column order, from the vector of each layer's top
+free column.  dual_brute
 filters every word of R^n by definitional inner products against every
 codeword and exists solely as an independent oracle for small n.
 """
@@ -23,7 +28,7 @@ codeword and exists solely as an independent oracle for small n.
 from __future__ import annotations
 
 from . import polyf2
-from .code import CyclicCode, rref, unpack
+from .code import CyclicCode, cyclic_rref, unpack
 
 FLAVORS = ("euclidean", "hermitian")
 
@@ -68,33 +73,59 @@ def _orthogonality_masks(c, flavor):
     return masks
 
 
-def _kernel(masks, width):
+def _kernel(n, masks):
     """Basis of the solution space of the parity equations.
 
-    One vector per free (non-pivot) column, in ascending column order.
-    An RREF row is zero at every other pivot, so each bit of a row
-    besides its pivot is a free column whose vector the pivot joins.
+    One vector per free (non-pivot) column of the masks' RREF, in
+    ascending column order: the column's bit plus the pivot of each row
+    with a bit in that column.  The masks span a space closed under x,
+    and x permutes the bits with x^-1 as its adjoint, so the solutions
+    are closed under x and x^-1 too.  The free columns of each layer
+    are the bits below its lowest pivot.  The vector of a layer's top
+    free column is read off the RREF with one column scan; each lower
+    free column's vector is the one above it times x^-1, which moves
+    that column's bit down by one, wraps no free bit and sets at most
+    one other free bit per layer: the top free column, from the layer's
+    lowest pivot.  Adding those columns' vectors clears them.
     """
-    pivots = 0
-    joins = [0] * width
-    for r in rref(masks):
-        p = 1 << r.bit_length() - 1
-        pivots |= p
-        x = r ^ p
-        while x:
-            q = x.bit_length() - 1
-            joins[q] |= p
-            x ^= 1 << q
-    return [joins[col] | 1 << col for col in range(width)
-            if not pivots >> col & 1]
+    rows = cyclic_rref(n, masks)
+    low = [n, 2 * n, 3 * n]  # each n-bit block's lowest pivot, its end if none
+    for r in rows:
+        p = r.bit_length() - 1
+        low[p // n] = p
+    tops = []  # (top free column, its vector) of each block with one
+    for block, lo in enumerate(low):
+        f = lo - 1
+        if f < block * n:
+            continue
+        v = 1 << f
+        for r in rows:
+            if r >> f & 1:
+                v |= 1 << r.bit_length() - 1
+        tops.append((f, v))
+    bottoms = 1 | 1 << n | 1 << 2 * n
+    kernel = []
+    for f, v in tops:
+        column = [v]
+        for _ in range(f % n):
+            t = v & bottoms
+            v = (v ^ t) >> 1 | t << n - 1
+            for g, top in tops:
+                if v >> g & 1:
+                    v ^= top
+            column.append(v)
+        column.reverse()
+        kernel += column
+    return kernel
 
 
 def dual_code(c, flavor="euclidean"):
     """The dual code by the kernel method."""
     _check_flavor(flavor)
     n = c.n
-    kernel = _kernel(_orthogonality_masks(c, flavor), 3 * n)
-    return CyclicCode(n, rref(kernel), [unpack(n, v) for v in kernel])
+    kernel = _kernel(n, _orthogonality_masks(c, flavor))
+    return CyclicCode(n, cyclic_rref(n, kernel),
+                      [unpack(n, v) for v in kernel])
 
 
 def dual_brute(c, flavor="euclidean"):

@@ -418,6 +418,25 @@ def test_enumerate_stdout_is_pinned(capsys, argv, sha1, exit_code):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+# The longest spec the CLI accepts.  The dual reports' digests are pinned
+# so that every change to the kernel or the bases must reproduce them.
+LONG_SPEC = json.dumps({
+    "n": 1024,
+    "generators": [{"f2": "x^512+1", "u": "x^3+x", "u2": "x^7+1"}],
+})
+
+
+@pytest.mark.parametrize("flavor, sha1", [
+    ("hermitian", "cf68ca426e72df295c20ba48fb13ea37c0d9081b"),
+    ("euclidean", "89d7166810e73860f1627a6a359f9db1f966a1e6"),
+])
+def test_dual_stdout_is_pinned_at_the_length_bound(capsys, flavor, sha1):
+    code, out, _ = run(capsys,
+                       ["dual", "--spec", LONG_SPEC, "--flavor", flavor])
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 def test_search_calls_the_module_checkers(capsys, monkeypatch):
     """search calls the constraints checkers as they stand when it runs.
 
@@ -554,3 +573,27 @@ def test_cli_import_leaves_numpy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], check=True,
                             capture_output=True, text=True, env=env)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # 32,768 lines outgrow the pipe buffer, so the writer is blocked when
+    # the reader leaves after one line.
+    (["enumerate", "--spec", ODD_SPEC, "--format", "dna"], 1),
+    # A short report is still buffered when the reader leaves; it fails
+    # at the flush, not at the write.
+    (["dual", "--spec", EXAMPLE_SPEC], 0),
+])
+def test_closed_stdout_pipe_exits_quietly(argv, lines_read):
+    src = str(Path(dnacyclic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is block-buffered
+    proc = subprocess.Popen([sys.executable, "-m", "dnacyclic.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -525,8 +525,8 @@ def test_rref_is_reduced_echelon(vs):
 
 
 @st.composite
-def generator_sets(draw):
-    n = draw(st.integers(1, 12))
+def generator_sets(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     layer = st.integers(0, (1 << n) - 1)
     word = st.one_of(
         st.just(RingWord(n)),
@@ -556,6 +556,44 @@ def test_span_matches_full_expansion(case):
     # The build order of the chains must not change the unique RREF.
     for order in itertools.permutations(gens):
         assert CyclicCode.from_generators(n, order).rows == rows
+
+
+def expansion_rref(n, gens):
+    """Plain elimination of every u^j x^i w over the generators w."""
+    expansions = []
+    for w in gens:
+        for _ in range(3):
+            expansions.extend(pack(w.shift(i)) for i in range(n))
+            w = w.times_u()
+    return reference_rref(expansions)
+
+
+# f = x^3 + x + 1 divides x^21 + 1 and x^7 + 1 divides it too.
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(generator_sets(max_n=40))
+@example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
+               RingWord.from_poly_text(21, "0;x^7+1;x^5")]))
+@example((33, [RingWord(33, 0, 0, (1 << 33) - 1)]))
+@example((40, [RingWord.from_poly_text(40, "x^20+1;x^3+x;x^7+1"),
+               RingWord.from_poly_text(40, "0;0;x^4+1")]))
+@example((40, [RingWord(40, 1)]))
+def test_long_span_matches_full_expansion(case):
+    # Lengths beyond test_span_matches_full_expansion, where each layer
+    # has many rows read off its lowest one by rotation.
+    n, gens = case
+    assert CyclicCode.from_generators(n, gens).rows == expansion_rref(n, gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(generator_sets(max_n=40))
+@example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
+               RingWord.from_poly_text(21, "0;x^7+1;x^5")]))
+def test_sum_is_rref_of_both_bases(case):
+    n, gens = case
+    for k in range(len(gens) + 1):
+        a = CyclicCode.from_generators(n, gens[:k])
+        b = CyclicCode.from_generators(n, gens[k:])
+        assert a.sum_with(b).rows == rref(a.rows + b.rows)
 
 
 def all_rows_reversible(c):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
 from dnacyclic.code import CyclicCode, Presentation, rref, unpack
-from dnacyclic.dual import (check_dual_reversibility_equivalence, dual_brute,
+from dnacyclic.dual import (FLAVORS, _kernel, _orthogonality_masks,
+                            check_dual_reversibility_equivalence, dual_brute,
                             dual_code, inner_euclidean, inner_hermitian,
                             verify_dual_divisibility)
 from dnacyclic.polyr import RingWord, u2_all_ones
@@ -189,6 +190,42 @@ def test_dual_matches_three_equation_reference(case):
     for flavor in ("euclidean", "hermitian"):
         d = dual_code(c, flavor)
         assert (d.rows, d.generators) == three_equation_dual(c, flavor)
+
+
+def per_bit_kernel(masks, width):
+    """Reference kernel: each bit of an RREF row besides its pivot is a
+    free column whose vector the pivot joins, walked one bit at a time."""
+    pivots = 0
+    joins = [0] * width
+    for r in rref(masks):
+        p = 1 << r.bit_length() - 1
+        pivots |= p
+        x = r ^ p
+        while x:
+            q = x.bit_length() - 1
+            joins[q] |= p
+            x ^= 1 << q
+    return [joins[col] | 1 << col for col in range(width)
+            if not pivots >> col & 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dual_inputs())
+@example((64, [RingWord.from_poly_text(64, "x^32+1;x^3+x;x^7+1")]))
+@example((128, [RingWord.from_poly_text(128, "x^64+1;x^5+x^2;x"),
+                RingWord.from_poly_text(128, "0;0;x^16+1")]))
+@example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
+               RingWord.from_poly_text(21, "0;x^7+1;x^5")]))
+@example((15, [RingWord.from_poly_text(15, "0;x^4+x+1;0"), u2_all_ones(15)]))
+@example((9, [RingWord(9, 1)]))
+@example((5, [RingWord(5, 0, 0, 1)]))
+def test_kernel_matches_per_bit_walk(case):
+    # The same vectors in the same order: one per free column, ascending.
+    n, gens = case
+    c = CyclicCode.from_generators(n, gens)
+    for flavor in FLAVORS:
+        masks = _orthogonality_masks(c, flavor)
+        assert _kernel(n, masks) == per_bit_kernel(masks, 3 * n)
 
 
 def test_dual_brute_rejects_large_n():
