@@ -217,11 +217,10 @@ def _search_candidates(n):
         r = polyf2.degree(g)
         if not 1 <= r <= n - 1:
             continue
-        sub = [d for d in divisors if d != g and polyf2.divides(d, g)]
+        a2s = (None, *(d for d in divisors if d != g and polyf2.divides(d, g)))
         for p1 in range(1 << r):
             for p2 in range(1 << r):
-                yield g, p1, p2, None
-                for a2 in sub:
+                for a2 in a2s:
                     yield g, p1, p2, a2
 
 
@@ -248,12 +247,12 @@ def _cmd_search(args):
         if a2 is not None:
             gens.append(RingWord(n, 0, 0, a2))
         c = CyclicCode.from_generators(n, gens)
-        if c.rows in seen:
+        if c in seen:
             continue
         if c.dim > (DEFAULT_ENUM_CAP if cap is None else cap):
             truncated = True
             continue
-        seen[c.rows] = {
+        seen[c] = {
             "n": n,
             "g": polyf2.to_text(g),
             "p1": polyf2.to_text(p1),

@@ -1,23 +1,26 @@
 """Cyclic codes over GF(2)[u]/(u^3) as ideals of R[x]/(x^n - 1).
 
-A code is stored as the GF(2) row span of its 3n-bit layer expansion.
-A codeword with layers (f1, f2, f3) packs into the integer
+A code is the GF(2) row span of its 3n-bit layer expansion.  A
+codeword with layers (f1, f2, f3) packs into the integer
 
     f3  |  f2 << n  |  f1 << 2n
 
 so that multiplication by u is a plain right shift by n and the
-u^2-only subspace is exactly the low n bits.  The basis is stored in
-reduced row echelon form with the pivot of a row being its highest set
-bit; RREF is unique per subspace, which makes code equality a tuple
-comparison and every derived quantity deterministic.  Elimination
-builds a plain echelon form, reducing each inserted vector by leading
-bits only.  Every span the package reads out this way is closed under
-x: a code, a sum of codes, a dual and the span of a dual's parity
-masks.  In such a span the pivots of each layer run contiguously up to
-the layer's top, so the rows are read by rotation: the lowest row of
-each layer is reduced once against the layers below it, and each
-further row is the one below it times x plus, at most, the lowest rows
-of three layers.  rref back-reduces bit by bit and serves spans with no
+u^2-only subspace is exactly the low n bits.  Its canonical basis is
+the reduced row echelon form with the pivot of a row being its highest
+set bit; RREF is unique per subspace, which makes every derived
+quantity deterministic.  Elimination builds a plain echelon form,
+reducing each inserted vector by leading bits only.  Every span the
+package reads out this way is closed under x: a code, a sum of codes,
+a dual and the span of a dual's parity masks.  In such a span the
+pivots of each layer run contiguously up to the layer's top, and each
+RREF row above a layer's lowest is the one below it times x plus, at
+most, the lowest rows of three layers.  So the lowest RREF row of each
+layer fixes the whole basis, and a code is stored as those at most
+three rows: they decide equality and the hash, the dimension is read
+off their pivots, and the rows are rotated out of them only when read.
+A layer's lowest row is reduced once, against the echelon rows of the
+layers below it.  rref back-reduces bit by bit and serves spans with no
 such structure, such as the double block of an intersection.
 
 The ideal generated by a set of words equals the GF(2) span of
@@ -37,10 +40,11 @@ through.  A chain rotates the stored remainder of its last shift, not
 the shift itself: the two differ by a vector of the span, and so do
 their rotations.  On the certified candidates of an n = 8 search the
 low-layer-first order takes the mean elimination XORs per build from
-41.8 to 27.0, and rotating remainders takes them to 20.8; reading the
-rows then costs 7.1 XORs on the lowest rows and 4.4 conditional ones,
-where back-reduction bit by bit costs 30.2.  The RREF is unique, so
-the rows do not change.
+41.8 to 27.0, and rotating remainders takes them to 20.8.  Reducing
+the three lowest rows then costs 7.3 XORs; the other rows (9.8
+rotations and 4.4 conditional XORs) are built only when read, where
+back-reduction bit by bit costs 30.2.  The RREF is unique, so the rows
+do not change.
 
 The torsion generators and the canonical presentation are read off the
 lowest basis row of each layer.  That row's layer part is the torsion
@@ -59,13 +63,14 @@ with phi: x -> x^-1 a ring automorphism, so the code is reversible
 exactly when those at most three rows' reversals reduce to zero;
 complement is translation by the all-u^2 word, so closure under it is
 membership of that word; and the minimum Hamming distance equals that
-of the u^2-subcode (the socle), whose at most 2^n words are walked.
-Enumeration, distance and closure are guarded by a configurable
-dimension cap.
+of the u^2-subcode (the socle), whose at most 2^n words are walked
+from the shifts of layer 2's lowest row.  Enumeration, distance and
+closure are guarded by a configurable dimension cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,33 +94,38 @@ def unpack(n, v):
 
 
 def _insert(pivots, v):
-    """Insert v into an echelon basis kept as {pivot bit: row}.
+    """Insert v into an echelon basis kept as a list, row or 0 per pivot bit.
 
     v is reduced by leading bits only and stored with its own top bit as
     pivot, so rows may still carry lower pivot bits until they are read
-    out.  Returns the stored row, or 0 if v was already in the span.
+    out.  The list must be at least as long as v.
     """
     while v:
         p = v.bit_length() - 1
-        r = pivots.get(p)
-        if r is None:
+        r = pivots[p]
+        if not r:
             pivots[p] = v
-            return v
+            return
         v ^= r
-    return 0
 
 
-def _rows_of(pivots):
-    """Back-reduce an echelon basis in place; its unique RREF, highest pivot first.
+def rref(vectors):
+    """The RREF basis of the span of packed vectors, highest pivot first.
 
-    One pass in ascending pivot order: each row already reduced is zero
-    at every other pivot, so a row clears its lower pivot bits with one
-    XOR per bit set there, in any order.
+    The echelon basis is back-reduced in one pass in ascending pivot
+    order: each row already reduced is zero at every other pivot, so a
+    row clears its lower pivot bits with one XOR per bit set there, in
+    any order.
     """
-    order = sorted(pivots)
+    vectors = list(vectors)
+    pivots = [0] * max((v.bit_length() for v in vectors), default=0)
+    for v in vectors:
+        _insert(pivots, v)
+    rows = []
     below = 0
-    for p in order:
-        v = pivots[p]
+    for p, v in enumerate(pivots):
+        if not v:
+            continue
         x = v & below
         while x:
             q = x.bit_length() - 1
@@ -123,83 +133,94 @@ def _rows_of(pivots):
             x ^= 1 << q
         pivots[p] = v
         below |= 1 << p
-    return tuple(pivots[p] for p in reversed(order))
+        rows.append(v)
+    rows.reverse()
+    return tuple(rows)
 
 
-def rref(vectors):
-    """The RREF basis of the span of packed vectors, highest pivot first."""
-    pivots = {}
-    for v in vectors:
-        _insert(pivots, v)
-    return _rows_of(pivots)
-
-
+@functools.lru_cache(maxsize=256)
 def _layer_tops(n):
     """The top bit of each of the three n-bit layers, as one mask."""
     return (1 << n - 1) * ((1 << 3 * n) - 1) // ((1 << n) - 1)
 
 
-def _cyclic_rows(n, pivots):
-    """The RREF of an x-closed span from its echelon basis, highest pivot first.
+def _cyclic_lows(n, pivots):
+    """The lowest RREF row of each layer of an x-closed span, layer 0 first.
 
-    x rotates each n-bit layer, so the vectors of the span that are zero
-    above layer i have layer-i parts forming a cyclic code <t_i>, whose
+    pivots is the span's echelon basis as _insert keeps it.  x rotates
+    each n-bit layer, so the vectors of the span that are zero above
+    layer i have layer-i parts forming a cyclic code <t_i>, whose
     nonzero members have every degree from deg t_i to n - 1 and no
     other (Norton and Salagean, 2000).  The pivots of each layer are
-    therefore contiguous and end at the layer's top; the echelon basis
-    has the same pivots as the RREF.  The lowest-pivot row of a layer
-    is reduced against the rows of the layers below it, bit by bit.
-    Each further row of the layer is the one below it times x: a row
-    zero at every other pivot has its layer-i part below its pivot and
-    each lower layer's part below that layer's lowest pivot, so the
-    rotation wraps no pivot bit and can set no pivot bit but its own
-    and the lowest one of each non-empty layer; adding those layers'
-    lowest rows clears them, so each row costs one rotation and at most
-    three conditional XORs.  The rows are written back into pivots.
+    therefore contiguous and end at the layer's top, so a layer's lowest
+    pivot follows its count of free bits; the echelon basis has the same
+    pivots as the RREF.  The lowest-pivot row of a layer is reduced
+    against the echelon rows of the layers below it, highest pivot bit
+    first: each XOR clears that bit and touches only lower ones.  An
+    empty layer's entry is 0.
     """
-    counts = [0, 0, 0]
-    for p in pivots:
-        counts[p // n] += 1
+    lows = [0, 0, 0]
+    below = 0  # the pivot bits of the layers reduced so far
+    for block in range(3):  # n bits each, the u^2 layer first
+        start = block * n
+        free = pivots[start:start + n].count(0)
+        if free == n:
+            continue
+        lo = start + free
+        v = pivots[lo]
+        while x := v & below:
+            v ^= pivots[x.bit_length() - 1]
+        lows[2 - block] = v
+        below |= (1 << start + n) - (1 << lo)
+    return tuple(lows)
+
+
+def _rotated_rows(n, lows):
+    """The RREF of an x-closed span from its lowest rows, highest pivot first.
+
+    Each further row of a layer is the one below it times x: a row zero
+    at every other pivot has its layer-i part below its pivot and each
+    lower layer's part below that layer's lowest pivot, so the rotation
+    wraps no pivot bit and can set no pivot bit but its own and the
+    lowest one of each non-empty layer; adding those layers' lowest rows
+    clears them, so each row costs one rotation and at most three
+    conditional XORs.
+    """
     tops = _layer_tops(n)
     rows = []
-    lows = []  # (lowest pivot bit, its row) of each layer read so far
+    seen = []  # (lowest pivot bit, its row) of each layer read so far
     low_bits = 0  # those layers' lowest pivot bits
-    below = 0  # the pivot bits of the layers read so far
-    for block, count in enumerate(counts):  # n bits each, the u^2 layer first
-        if not count:
+    for block in range(3):  # the u^2 layer first
+        v = lows[2 - block]
+        if not v:
             continue
-        end = (block + 1) * n
-        lo = end - count
-        v = pivots[lo]
-        x = v & below
-        while x:
-            q = x.bit_length() - 1
-            v ^= pivots[q]
-            x ^= 1 << q
-        lows.append((1 << lo, v))
+        lo = v.bit_length() - 1
+        seen.append((1 << lo, v))
         low_bits |= 1 << lo
-        pivots[lo] = v
         rows.append(v)
-        for p in range(lo + 1, end):
+        for _ in range(lo + 1, (block + 1) * n):
             t = v & tops
             v = (v ^ t) << 1 | t >> n - 1
             if v & low_bits:
-                for bit, low in lows:
+                for bit, low in seen:
                     if v & bit:
                         v ^= low
-            pivots[p] = v
             rows.append(v)
-        below |= (1 << end) - (1 << lo)
     rows.reverse()
     return tuple(rows)
 
 
-def cyclic_rref(n, vectors):
-    """rref(vectors) for packed 3n-bit vectors whose span is closed under x."""
-    pivots = {}
+def _span_lows(n, vectors):
+    """The lowest RREF row of each layer of the x-closed span of vectors."""
+    pivots = [0] * (3 * n)
     for v in vectors:
         _insert(pivots, v)
-    return _cyclic_rows(n, pivots)
+    return _cyclic_lows(n, pivots)
+
+
+def cyclic_rref(n, vectors):
+    """rref(vectors) for packed 3n-bit vectors whose span is closed under x."""
+    return _rotated_rows(n, _span_lows(n, vectors))
 
 
 def gray_walk(rows):
@@ -274,31 +295,64 @@ class Presentation:
 
 
 class CyclicCode:
-    """An ideal of R[x]/(x^n - 1) with a canonical GF(2) basis."""
+    """An ideal of R[x]/(x^n - 1), kept as the lowest RREF row of each layer.
 
-    __slots__ = ("n", "rows", "generators")
+    lows[i] is the lowest-pivot row of layer i's rows in the canonical
+    basis, 0 for an empty layer.  The lows fix the whole basis (see
+    _rotated_rows), so they decide equality and the dimension; the rows
+    are read from them on first use and kept.
+    """
+
+    __slots__ = ("n", "lows", "generators", "_rows")
 
     def __init__(self, n, rows, generators=()):
+        """The ideal whose RREF basis, highest pivot first, is rows."""
+        rows = tuple(rows)
+        lows = [0, 0, 0]
+        for r in rows:  # a layer's last row is its lowest
+            lows[2 - (r.bit_length() - 1) // n] = r
         self.n = n
-        self.rows = tuple(rows)
+        self.lows = tuple(lows)
         self.generators = tuple(generators)
+        self._rows = rows
+
+    @classmethod
+    def _of_lows(cls, n, lows, generators):
+        """The code with the given lows; its rows are built when read."""
+        c = cls.__new__(cls)
+        c.n = n
+        c.lows = lows
+        c.generators = generators
+        c._rows = None
+        return c
+
+    @classmethod
+    def from_span(cls, n, vectors, generators=()):
+        """The ideal spanned over GF(2) by packed vectors whose span is x-closed."""
+        return cls._of_lows(n, _span_lows(n, vectors), tuple(generators))
 
     @classmethod
     def from_generators(cls, n, generators):
         """The ideal generated by the given words (the zero code for none)."""
         generators = tuple(generators)
         tops = _layer_tops(n)
-        pivots = {}
+        pivots = [0] * (3 * n)
         for w in reversed(generators):
             if w.n != n:
                 raise ValueError(f"generator length {w.n} does not match n = {n}")
             base = pack(w)
             for j in (2, 1, 0):
                 v = base >> (n * j)
-                while v := _insert(pivots, v):
-                    t = v & tops
-                    v = (v ^ t) << 1 | t >> n - 1
-        return cls(n, _cyclic_rows(n, pivots), generators)
+                while v:  # _insert, then the stored remainder times x
+                    p = v.bit_length() - 1
+                    r = pivots[p]
+                    if r:
+                        v ^= r
+                    else:
+                        pivots[p] = v
+                        t = v & tops
+                        v = (v ^ t) << 1 | t >> n - 1
+        return cls._of_lows(n, _cyclic_lows(n, pivots), generators)
 
     @classmethod
     def zero(cls, n):
@@ -310,20 +364,33 @@ class CyclicCode:
         return cls.from_generators(n, [RingWord(n, 1)])
 
     @property
+    def rows(self):
+        """The RREF basis, highest pivot first."""
+        if self._rows is None:
+            self._rows = _rotated_rows(self.n, self.lows)
+        return self._rows
+
+    @property
     def dim(self):
-        """GF(2) dimension; the code has 2^dim words."""
-        return len(self.rows)
+        """GF(2) dimension; the code has 2^dim words.
+
+        Layer i's pivots run from its lowest row's up to its top bit,
+        (3 - i) n - 1.
+        """
+        n = self.n
+        return sum((3 - i) * n + 1 - low.bit_length()
+                   for i, low in enumerate(self.lows) if low)
 
     @property
     def cardinality(self):
-        return 1 << len(self.rows)
+        return 1 << self.dim
 
     def __eq__(self, other):
         return (isinstance(other, CyclicCode)
-                and self.n == other.n and self.rows == other.rows)
+                and self.n == other.n and self.lows == other.lows)
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self.n, self.lows))
 
     def __repr__(self):
         return f"CyclicCode(n={self.n}, dim={self.dim})"
@@ -368,11 +435,14 @@ class CyclicCode:
         u^2-only codeword supported inside c, so the minimum is taken
         over the u^2-subcode alone (Norton and Salagean, 2000).
         """
-        if self.dim == 0:
+        t2 = self.lows[2]
+        if not t2:  # a nonzero code has a nonzero u^2-subcode
             return math.inf
         self.check_cap(cap)
+        # The u^2-subcode is u^2 <t2>: its words are the multiples of t2
+        # of degree below n, spanned by t2's shifts x^k t2, k < n - deg t2.
         best = self.n + 1
-        for v in self.u2_subcode().packed_words(cap):
+        for v in gray_walk([t2 << k for k in range(self.n + 1 - t2.bit_length())]):
             w = v.bit_count()
             if 0 < w < best:
                 best = w
@@ -393,7 +463,7 @@ class CyclicCode:
         """
         self.check_cap(cap)
         return all(self._reduce(pack(unpack(self.n, r).reverse())) == 0
-                   for r in self._lowest_rows())
+                   for r in self.lows)
 
     def is_complement_closed(self, cap=None):
         """Whether the code is closed under the coordinatewise complement.
@@ -412,8 +482,8 @@ class CyclicCode:
         """The code C1 + C2 (span of the union)."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return CyclicCode(self.n, cyclic_rref(self.n, self.rows + other.rows),
-                          self.generators + other.generators)
+        return CyclicCode.from_span(self.n, self.rows + other.rows,
+                                    self.generators + other.generators)
 
     def intersect_with(self, other):
         """The code C1 ∩ C2, via the Zassenhaus double-block reduction."""
@@ -451,18 +521,6 @@ class CyclicCode:
         rows = tuple(r for r in self.rows if r.bit_length() - 1 < self.n)
         return CyclicCode(self.n, rows, tuple(unpack(self.n, r) for r in rows))
 
-    def _lowest_rows(self):
-        """The lowest-pivot basis row of each layer, 0 for an empty layer.
-
-        Rows run highest pivot first, so the last row seen in a layer is
-        its lowest.
-        """
-        n = self.n
-        low = [0, 0, 0]
-        for r in self.rows:
-            low[2 - (r.bit_length() - 1) // n] = r
-        return low
-
     def torsion_generator(self, i):
         """Monic minimum-degree generator of the torsion code T_i.
 
@@ -474,7 +532,7 @@ class CyclicCode:
         """
         if i not in (0, 1, 2):
             raise ValueError("torsion layer must be 0, 1 or 2")
-        r = self._lowest_rows()[i]
+        r = self.lows[i]
         return r >> (2 - i) * self.n if r else polyf2.xn1(self.n)
 
     def canonical_presentation(self):
@@ -494,7 +552,7 @@ class CyclicCode:
         if n % 2:
             raise ValueError("presentation extraction requires even length")
         mask = (1 << n) - 1
-        c_g, c_a1, a2 = self._lowest_rows()
+        c_g, c_a1, a2 = self.lows
         g, p1, p2 = c_g >> 2 * n, c_g >> n & mask, c_g & mask
         a1, q = c_a1 >> n, c_a1 & mask
 

@@ -91,19 +91,27 @@ def _degree_hypothesis(g, p1, p2):
 
 @functools.lru_cache(maxsize=1024)
 def _generator_facts(n, g, a2):
-    """(chain, notes) for nonzero g; a2 = None stands for one generator.
+    """(chain, recip, divisor) for nonzero g; a2 = None: one generator.
 
-    Both depend on (n, g, a2) alone, so a search over (p1, p2) reads
-    them from the cache: chain is whether a2 | g | x^n+1 (a2 = 0 breaks
-    it), notes the self-reciprocity failures of g then a2.
+    All three depend on (n, g, a2) alone, so a search over (p1, p2)
+    reads them from the cache: chain is whether a2 | g | x^n+1 (a2 = 0
+    breaks it), recip the verdict naming the self-reciprocity failures
+    of g then a2 (None if there are none), and divisor is a2 or g.
+    Structurally invalid inputs raise, and a raise is not cached.
     """
+    if n < 1 or n % 2:
+        raise ValueError(f"checker requires an even length, got n = {n}")
+    if g == 0:
+        raise ValueError("generator polynomial g must be nonzero")
     chain = (polyf2.divides(g, polyf2.xn1(n))
              and (a2 is None or (a2 != 0 and polyf2.divides(a2, g))))
+    if not chain and a2 is not None:
+        raise ValueError("divisibility chain a2 | g | x^n+1 violated")
     notes = "; ".join(
         f"{name} is not self-reciprocal"
         for name, f in (("g", g), ("a2", a2 or 0))
         if not polyf2.is_self_reciprocal(f))
-    return chain, notes
+    return chain, Verdict(False, "NONE", True, notes) if notes else None, a2 or g
 
 
 _CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABC"}
@@ -117,21 +125,17 @@ def _reversible(n, g, p1, p2, a2):
     error for two.  The s1 test picks the branch and its residue; the
     code is reversible exactly when (a2 or g) divides the residue.
     """
-    if n < 1 or n % 2:
-        raise ValueError(f"checker requires an even length, got n = {n}")
-    if g == 0:
-        raise ValueError("generator polynomial g must be nonzero")
-    chain, recip_notes = _generator_facts(n, g, a2)
-    if not chain and a2 is not None:
-        raise ValueError("divisibility chain a2 | g | x^n+1 violated")
-    hyp = _degree_hypothesis(g, p1, p2)
-    if not chain:
-        hyp = "; ".join(filter(None, ("g does not divide x^n+1", hyp)))
-    if hyp:
-        return Verdict(False, "NONE", False, hyp)
-    if recip_notes:
-        return Verdict(False, "NONE", True, recip_notes)
+    chain, recip, divisor = _generator_facts(n, g, a2)
     w = g.bit_length()
+    # Every search candidate passes this one comparison of bit lengths;
+    # only a failure reads the notes.
+    if not chain or w <= (p1 | p2).bit_length():
+        hyp = _degree_hypothesis(g, p1, p2)
+        if not chain:
+            hyp = "; ".join(filter(None, ("g does not divide x^n+1", hyp)))
+        return Verdict(False, "NONE", False, hyp)
+    if recip:
+        return recip
     s1 = bit_reverse(p1, w)
     if s1 == p1:
         residue, tag = bit_reverse(p2, w) ^ p2, "A"
@@ -140,7 +144,7 @@ def _reversible(n, g, p1, p2, a2):
         residue, tag = bit_reverse(p2, w) ^ p1 ^ p2, "B"
     else:
         return _NO_CASE
-    if not polyf2.divides(a2 or g, residue):
+    if not polyf2.divides(divisor, residue):
         return _NO_CASE
     # deg residue <= deg g, so for one generator the residue is 0 or g.
     return _CERTIFIED["C" if a2 is None and residue else tag]
@@ -174,15 +178,22 @@ def _u2_all_ones_member(n, g, p1, p2, a2):
     p1; then m/a1 is prime to x+1 and (h/a1) p1 is a multiple, so
     (x+1)^e | t2 holds exactly when it also divides p2 and a2.
     """
-    q = polyf2.xn1(n & -n)  # (x+1)^e, e the largest power of two dividing n
-    return any(polyf2.mod(f, q) for f in (g, p1, p2, a2))
+    e = n & -n  # (x+1)^e = x^e + 1, e the largest power of two dividing n
+    return bool(polyf2.mod_xn1(g, e) or polyf2.mod_xn1(a2, e)
+                or polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e))
+
+
+@functools.lru_cache(maxsize=64)
+def _not_member(verdict):
+    """verdict, unsatisfied, with the missing all-u^2 word noted."""
+    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
+    return Verdict(False, verdict.case, True, notes)
 
 
 def _with_membership(verdict, n, g, p1, p2, a2):
     if not verdict.hypothesis_ok or _u2_all_ones_member(n, g, p1, p2, a2):
         return verdict
-    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
-    return Verdict(False, verdict.case, True, notes)
+    return _not_member(verdict)
 
 
 def check_rc_single(n, g, p1, p2):

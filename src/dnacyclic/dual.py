@@ -124,8 +124,7 @@ def dual_code(c, flavor="euclidean"):
     _check_flavor(flavor)
     n = c.n
     kernel = _kernel(n, _orthogonality_masks(c, flavor))
-    return CyclicCode(n, cyclic_rref(n, kernel),
-                      [unpack(n, v) for v in kernel])
+    return CyclicCode.from_span(n, kernel, [unpack(n, v) for v in kernel])
 
 
 def dual_brute(c, flavor="euclidean"):

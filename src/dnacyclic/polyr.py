@@ -22,9 +22,8 @@ class RingWord:
     def __init__(self, n, f1=0, f2=0, f3=0):
         if n < 1:
             raise ValueError("word length must be at least 1")
-        for f in (f1, f2, f3):
-            if f < 0 or f >> n:
-                raise ValueError("layer polynomial degree must be below the word length")
+        if (f1 | f2 | f3) >> n:  # also nonzero when a layer is negative
+            raise ValueError("layer polynomial degree must be below the word length")
         self.n = n
         self.f1 = f1
         self.f2 = f2

@@ -381,6 +381,12 @@ def test_cmd_search_rediscovers_example(capsys):
     # Truncated by the dim cap, then filtered by distance.
     (["search", "--n", "6", "--cap", "8", "--min-distance", "2"],
      "4e811a31612212224f36b3a3870c1b8be105814f", 3),
+    # At n = 8 every reversible hit is rc-closed, so both modes print
+    # the same bytes.
+    (["search", "--n", "8", "--require", "reversible"],
+     "5ac9954b306be864e4d97933756254404231fc67", 0),
+    (["search", "--n", "6", "--require", "rc"],
+     "7565d268e36167a1b257c4dcf45a8b7e9f6fa198", 0),
 ])
 def test_search_stdout_is_pinned(capsys, argv, sha1, exit_code):
     code, out, _ = run(capsys, argv)

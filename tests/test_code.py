@@ -524,16 +524,19 @@ def test_rref_is_reduced_echelon(vs):
     assert rref(rows) == rows
 
 
-@st.composite
-def generator_sets(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
+def words_of_length(n):
     layer = st.integers(0, (1 << n) - 1)
-    word = st.one_of(
+    return st.one_of(
         st.just(RingWord(n)),
         st.builds(lambda f: RingWord(n, 0, f, 0), layer),
         st.builds(lambda f: RingWord(n, 0, 0, f), layer),
         st.builds(lambda a, b, c: RingWord(n, a, b, c), layer, layer, layer))
-    gens = draw(st.lists(word, max_size=3))
+
+
+@st.composite
+def generator_sets(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    gens = draw(st.lists(words_of_length(n), max_size=3))
     if len(gens) > 1 and draw(st.booleans()):
         gens[-1] = gens[0]
     return n, gens
@@ -617,3 +620,48 @@ def test_reversible_from_lowest_rows_matches_all_rows(case):
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
     assert c.is_reversible(cap=3 * n) == all_rows_reversible(c)
+
+
+@st.composite
+def generator_set_pairs(draw):
+    """(n, a, b): two generator lists of one length, b often spanning a's ideal."""
+    n, gens = draw(generator_sets())
+    if gens and draw(st.booleans()):
+        # Reordered, plus a multiple of a generator: the same ideal.
+        k = draw(st.integers(0, n - 1))
+        other = draw(st.permutations(gens)) + [gens[0].shift(k).times_u()]
+    else:
+        other = draw(st.lists(words_of_length(n), max_size=3))
+    return n, gens, other
+
+
+def socle_distance(rows):
+    """Minimum weight over the nonzero span of u^2-only rows, by a plain walk."""
+    words = {0}
+    for r in rows:
+        words |= {w ^ r for w in words}
+    return min((w.bit_count() for w in words if w), default=math.inf)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_set_pairs())
+@example((5, [RingWord(5, 1)], [RingWord(5, 1, 1, 0)]))
+@example((6, [RingWord(6, 0, 0, 0b11)], [RingWord(6, 0, 0b11, 0)]))
+@example((7, [], [RingWord(7)]))
+def test_code_identity_is_its_lowest_rows(case):
+    # A code keeps only the lowest RREF row of each layer; equality, the
+    # hash, the dimension and the socle walk must agree with the rows.
+    n, gens, other = case
+    a = CyclicCode.from_generators(n, gens)
+    b = CyclicCode.from_generators(n, other)
+    assert (a == b) == (a.rows == b.rows)
+    if a == b:
+        assert hash(a) == hash(b)
+    for c in (a, b):
+        assert c.dim == len(c.rows)
+        assert CyclicCode(n, c.rows) == c
+        socle = tuple(r for r in c.rows if r.bit_length() <= n)
+        sub = c.u2_subcode()
+        assert sub.rows == socle
+        assert sub == CyclicCode(n, socle)
+        assert c.min_hamming_distance(cap=3 * n) == socle_distance(socle)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dnacyclic import polyf2
+from dnacyclic import cli, polyf2
 from dnacyclic.code import CyclicCode
 from dnacyclic.constraints import (Verdict, _with_membership, check_rc_double,
                                    check_rc_single, check_reversible_double,
@@ -482,3 +482,30 @@ def test_search_inputs_match_reference(n):
                     assert check_rc_double(n, g, p1, p2, a2) == (
                         _with_membership(v, n, g, p1, p2, a2))
     assert cases == {"A", "C", "NONE"}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_rc_verdict_is_reversibility_plus_built_membership(n):
+    # Every search candidate: the rc verdict is the reversible verdict,
+    # turned down with one more note exactly when the all-u^2 word is
+    # missing from the ideal the candidate generates.
+    word = u2_all_ones(n)
+    missing = 0
+    for g, p1, p2, a2 in cli._search_candidates(n):
+        gens = [RingWord(n, g, p1, p2)]
+        if a2 is None:
+            rev = check_reversible_single(n, g, p1, p2)
+            rc = check_rc_single(n, g, p1, p2)
+        else:
+            gens.append(RingWord(n, 0, 0, a2))
+            rev = check_reversible_double(n, g, p1, p2, a2)
+            rc = check_rc_double(n, g, p1, p2, a2)
+        expected = rev
+        if rev.hypothesis_ok and not CyclicCode.from_generators(n, gens).contains(word):
+            missing += 1
+            notes = "; ".join(filter(None, [rev.notes, "all-u2 word is not a codeword"]))
+            expected = Verdict(False, rev.case, True, notes)
+        assert rc == expected, (g, p1, p2, a2)
+    # At n = 2^k the word is missing only if (x+1)^n divides g, of
+    # degree below n, so only n = 6 reaches the second branch.
+    assert (missing > 0) == (n == 6)
