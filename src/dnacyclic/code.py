@@ -9,42 +9,36 @@ so that multiplication by u is a plain right shift by n and the
 u^2-only subspace is exactly the low n bits.  Its canonical basis is
 the reduced row echelon form with the pivot of a row being its highest
 set bit; RREF is unique per subspace, which makes every derived
-quantity deterministic.  Elimination builds a plain echelon form,
-reducing each inserted vector by leading bits only.  Every span the
-package reads out this way is closed under x: a code, a sum of codes,
-a dual and the span of a dual's parity masks.  In such a span the
-pivots of each layer run contiguously up to the layer's top, and each
-RREF row above a layer's lowest is the one below it times x plus, at
-most, the lowest rows of three layers.  So the lowest RREF row of each
-layer fixes the whole basis, and a code is stored as those at most
-three rows: they decide equality and the hash, the dimension is read
-off their pivots, and the rows are rotated out of them only when read.
-A layer's lowest row is reduced once, against the echelon rows of the
-layers below it.  rref back-reduces bit by bit and serves spans with no
-such structure, such as the double block of an intersection.
+quantity deterministic.
 
-The ideal generated by a set of words equals the GF(2) span of
-{u^j * x^i * w}, because R itself is the GF(2) span of {1, u, u^2}; this
-reduces all module arithmetic to bit linear algebra.  Multiplication by
-x rotates each n-bit layer of the packed integer by one place.  The span
-built from earlier shift chains is closed under x, so a generator's
-chain x^i * u^j * w stops at the first shift already in the span: every
-later shift lies in it too.  The chains are built low layer first: the
-generators last to first, and each one's chains from u^2 * w up to w.  A
-presentation lists its u^2-generator last, and u^2 * w and u * w are
-shorter than w, so the lower layers' pivots are filled with short rows
-before a shift of w falls out of layer 0.  That shift's remainder then
-reduces against them, or is already in the span and ends the chain,
-instead of adding a long row that later lower-layer vectors must reduce
-through.  A chain rotates the stored remainder of its last shift, not
-the shift itself: the two differ by a vector of the span, and so do
-their rotations.  On the certified candidates of an n = 8 search the
-low-layer-first order takes the mean elimination XORs per build from
-41.8 to 27.0, and rotating remainders takes them to 20.8.  Reducing
-the three lowest rows then costs 7.3 XORs; the other rows (9.8
-rotations and 4.4 conditional XORs) are built only when read, where
-back-reduction bit by bit costs 30.2.  The RREF is unique, so the rows
-do not change.
+Multiplication by x rotates each n-bit layer of the packed integer by
+one place, and every span the package builds is closed under x: a code,
+a sum or intersection of codes, a dual and the span of a dual's parity
+masks.  One routine, _x_span_lows, builds each of them but the
+intersection as the x-closure of a few seed rows; the intersection is
+read off the double block of both bases instead.  The routine keeps a
+plain echelon form, reducing each inserted vector by leading bits only.
+The span built from earlier seeds is closed under x, so a seed's chain
+x^i * v stops at the first shift already in the span: every later shift
+lies in it too.  A chain rotates the stored remainder of its last shift,
+not the shift itself: the two differ by a vector of the span, and so do
+their rotations.  The ideal generated by a set of words is the x-closure
+of their multiples u^j * w, because R itself is the GF(2) span of
+{1, u, u^2}; this reduces all module arithmetic to bit linear algebra.
+Those seeds go in low layer first, the generators last to first and each
+one's u^2 * w, u * w and w in turn, so the lower layers' short rows are
+in place before a shift of w falls out of layer 0.
+
+In an x-closed span the pivots of each layer run contiguously up to the
+layer's top, and each RREF row above a layer's lowest is the one below
+it times x plus, at most, the lowest rows of three layers.  So the
+lowest RREF row of each layer fixes the whole basis and generates the
+span under x, and a code is stored as those at most three rows: they
+decide equality and the hash, the dimension is read off their pivots,
+they seed sums and duals, and the rows are rotated out of them only
+when read.  A layer's lowest row is reduced once, against the echelon
+rows of the layers below it.  rref back-reduces an arbitrary span bit
+by bit; it is public, and the package itself does not call it.
 
 The torsion generators and the canonical presentation are read off the
 lowest basis row of each layer.  That row's layer part is the torsion
@@ -210,17 +204,31 @@ def _rotated_rows(n, lows):
     return tuple(rows)
 
 
-def _span_lows(n, vectors):
-    """The lowest RREF row of each layer of the x-closed span of vectors."""
+def _x_span_lows(n, seeds):
+    """The lowest RREF row of each layer of the x-closure of packed seeds.
+
+    Each seed is inserted as _insert does, and while its stored remainder
+    is new, that remainder times x is inserted next; the chain ends at
+    the first shift already in the span.
+    """
+    tops = _layer_tops(n)
     pivots = [0] * (3 * n)
-    for v in vectors:
-        _insert(pivots, v)
+    for v in seeds:
+        while v:
+            p = v.bit_length() - 1
+            r = pivots[p]
+            if r:
+                v ^= r
+            else:
+                pivots[p] = v
+                t = v & tops
+                v = (v ^ t) << 1 | t >> n - 1
     return _cyclic_lows(n, pivots)
 
 
 def cyclic_rref(n, vectors):
-    """rref(vectors) for packed 3n-bit vectors whose span is closed under x."""
-    return _rotated_rows(n, _span_lows(n, vectors))
+    """The RREF of the x-closure of packed vectors, highest pivot first."""
+    return _rotated_rows(n, _x_span_lows(n, vectors))
 
 
 def gray_walk(rows):
@@ -317,42 +325,36 @@ class CyclicCode:
         self._rows = rows
 
     @classmethod
-    def _of_lows(cls, n, lows, generators):
-        """The code with the given lows; its rows are built when read."""
+    def _of_lows(cls, n, lows, generators=None):
+        """The code with the given lows.
+
+        Its rows are built when first read, except without generators:
+        then the basis rows, as words, are its generators.
+        """
         c = cls.__new__(cls)
         c.n = n
         c.lows = lows
-        c.generators = generators
         c._rows = None
+        c.generators = (tuple(unpack(n, r) for r in c.rows)
+                        if generators is None else generators)
         return c
 
     @classmethod
     def from_span(cls, n, vectors, generators=()):
-        """The ideal spanned over GF(2) by packed vectors whose span is x-closed."""
-        return cls._of_lows(n, _span_lows(n, vectors), tuple(generators))
+        """The code spanned over GF(2) by the x-closure of packed vectors."""
+        return cls._of_lows(n, _x_span_lows(n, vectors), tuple(generators))
 
     @classmethod
     def from_generators(cls, n, generators):
         """The ideal generated by the given words (the zero code for none)."""
         generators = tuple(generators)
-        tops = _layer_tops(n)
-        pivots = [0] * (3 * n)
+        seeds = []
         for w in reversed(generators):
             if w.n != n:
                 raise ValueError(f"generator length {w.n} does not match n = {n}")
-            base = pack(w)
-            for j in (2, 1, 0):
-                v = base >> (n * j)
-                while v:  # _insert, then the stored remainder times x
-                    p = v.bit_length() - 1
-                    r = pivots[p]
-                    if r:
-                        v ^= r
-                    else:
-                        pivots[p] = v
-                        t = v & tops
-                        v = (v ^ t) << 1 | t >> n - 1
-        return cls._of_lows(n, _cyclic_lows(n, pivots), generators)
+            v = pack(w)
+            seeds += (v >> 2 * n, v >> n, v)
+        return cls._of_lows(n, _x_span_lows(n, seeds), generators)
 
     @classmethod
     def zero(cls, n):
@@ -482,7 +484,8 @@ class CyclicCode:
         """The code C1 + C2 (span of the union)."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return CyclicCode.from_span(self.n, self.rows + other.rows,
+        # Each code is the x-closure of its lows; the u^2 layer goes first.
+        return CyclicCode.from_span(self.n, sorted(self.lows + other.lows),
                                     self.generators + other.generators)
 
     def intersect_with(self, other):
@@ -490,12 +493,12 @@ class CyclicCode:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         w = 3 * self.n
-        both = rref([(r << w) | r for r in self.rows]
-                    + [r << w for r in other.rows])
-        # Rows with a zero top block are zero at every pivot but their
-        # own, so they already form the reduced echelon basis of C1 ∩ C2.
-        rows = tuple(r for r in both if r >> w == 0)
-        return CyclicCode(self.n, rows, tuple(unpack(self.n, r) for r in rows))
+        pivots = [0] * (2 * w)
+        for v in [r << w | r for r in self.rows] + [r << w for r in other.rows]:
+            _insert(pivots, v)
+        # The echelon rows with a zero top block span C1 ∩ C2, which is
+        # closed under x; _cyclic_lows reads only the low 3n pivots.
+        return CyclicCode._of_lows(self.n, _cyclic_lows(self.n, pivots))
 
     def report_json(self, cap=None):
         """Summary report of the code as a JSON-ready dict."""
@@ -516,10 +519,9 @@ class CyclicCode:
         """The subcode of codewords supported only on the u^2 layer.
 
         With the chosen packing these are spanned by exactly the basis
-        rows whose pivot lies below bit n.
+        rows whose pivot lies below bit n, whose lowest row is layer 2's.
         """
-        rows = tuple(r for r in self.rows if r.bit_length() - 1 < self.n)
-        return CyclicCode(self.n, rows, tuple(unpack(self.n, r) for r in rows))
+        return CyclicCode._of_lows(self.n, (0, 0, self.lows[2]))
 
     def torsion_generator(self, i):
         """Monic minimum-degree generator of the torsion code T_i.

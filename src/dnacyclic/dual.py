@@ -8,21 +8,24 @@ Hermitian product is the Euclidean one plus u^2 times the coordinate
 sum of X, so the Hermitian dual is the Euclidean dual cut by one more
 parity equation: the unit layer of X has even weight.
 
-dual_code solves a GF(2) linear system over the 3n layer bits with one
-parity equation per basis codeword.  For an unknown word v and a
-codeword b, write c0, c1, c2 for the unit, u and u^2 layers of <v, b>.
-Then c2(v, u*b) = c1(v, b) and c2(v, u^2*b) = c0(v, b), and a code is an
-ideal, hence closed under u; so the u^2-layer equations against the
-basis rows already imply the other two layers.  The solution space is
-the dual ideal itself, since the orthogonal space of an ideal and the
-Hermitian extra equation are both invariant under x and u.  The masks
-span a space closed under x, and so is the kernel, so both are read by
-rotation rather than bit by bit: the masks' RREF from one row per
-layer (see the code module), and the kernel, one vector per free
-column in ascending column order, from the vector of each layer's top
-free column.  dual_brute
-filters every word of R^n by definitional inner products against every
-codeword and exists solely as an independent oracle for small n.
+dual_code solves a GF(2) linear system over the 3n layer bits: one
+parity equation per codeword of a GF(2) basis.  For an unknown word v
+and a codeword b, write c0, c1, c2 for the unit, u and u^2 layers of
+<v, b>.  Then c2(v, u*b) = c1(v, b) and c2(v, u^2*b) = c0(v, b), and a
+code is an ideal, hence closed under u; so the u^2-layer equations
+against the basis rows already imply the other two layers.  The
+solution space is the dual ideal itself, since the orthogonal space of
+an ideal and the Hermitian extra equation are both invariant under x
+and u.  A row's equation mask is the row with its outer layers swapped,
+which commutes with x, so the masks span the x-closure of the code's
+at most three lowest rows, swapped, plus the Hermitian mask; those at
+most four masks seed the equations' RREF (see the code module).  The
+kernel is closed under x as well: it has one vector per free column in
+ascending column order, read from the vector of each layer's top free
+column, and those at most three top vectors seed the dual code.
+dual_brute filters every word of R^n by definitional inner products
+against every codeword and exists solely as an independent oracle for
+small n.
 """
 
 from __future__ import annotations
@@ -56,17 +59,19 @@ def inner_hermitian(x, y):
 
 
 def _orthogonality_masks(c, flavor):
-    """Parity-equation masks over the 3n packed bits of an unknown word.
+    """Parity-equation masks whose x-closure is every equation on a word.
 
-    A packed unknown v satisfies every mask m with parity(v & m) = 0
-    exactly when it is orthogonal (in the requested flavor) to every
-    codeword of c.  A basis row's mask is the row with its unit and u^2
-    layer blocks swapped: parity(v & mask) is the u^2 layer of <v, row>.
+    A packed unknown v satisfies every mask m of that closure with
+    parity(v & m) = 0 exactly when it is orthogonal (in the requested
+    flavor) to every codeword of c.  A codeword's mask is the codeword
+    with its unit and u^2 layer blocks swapped: parity(v & mask) is the
+    u^2 layer of <v, codeword>.  The swap commutes with x, so the masks
+    of c's nonzero lowest rows x-generate those of all its codewords.
     """
     n = c.n
     mask = (1 << n) - 1
     masks = [(b & mask) << 2 * n | (b >> n & mask) << n | b >> 2 * n
-             for b in c.rows]
+             for b in c.lows if b]
     if flavor == "hermitian":
         # The u^2 * (coordinate sum) term: the unit layer has even weight.
         masks.append(mask << 2 * n)
@@ -74,13 +79,13 @@ def _orthogonality_masks(c, flavor):
 
 
 def _kernel(n, masks):
-    """Basis of the solution space of the parity equations.
+    """Basis of the solution space of the x-closure of the parity masks.
 
-    One vector per free (non-pivot) column of the masks' RREF, in
+    One vector per free (non-pivot) column of the equations' RREF, in
     ascending column order: the column's bit plus the pivot of each row
-    with a bit in that column.  The masks span a space closed under x,
-    and x permutes the bits with x^-1 as its adjoint, so the solutions
-    are closed under x and x^-1 too.  The free columns of each layer
+    with a bit in that column.  The equations are closed under x, and
+    x permutes the bits with x^-1 as its adjoint, so the solutions are
+    closed under x and x^-1 too.  The free columns of each layer
     are the bits below its lowest pivot.  The vector of a layer's top
     free column is read off the RREF with one column scan; each lower
     free column's vector is the one above it times x^-1, which moves
@@ -124,7 +129,10 @@ def dual_code(c, flavor="euclidean"):
     _check_flavor(flavor)
     n = c.n
     kernel = _kernel(n, _orthogonality_masks(c, flavor))
-    return CyclicCode.from_span(n, kernel, [unpack(n, v) for v in kernel])
+    # A free column's vector has that column as its lowest bit, and the
+    # last vector of each layer is its top free column's.
+    top = {((v & -v).bit_length() - 1) // n: v for v in kernel}
+    return CyclicCode.from_span(n, top.values(), [unpack(n, v) for v in kernel])
 
 
 def dual_brute(c, flavor="euclidean"):

@@ -665,3 +665,43 @@ def test_code_identity_is_its_lowest_rows(case):
         assert sub.rows == socle
         assert sub == CyclicCode(n, socle)
         assert c.min_hamming_distance(cap=3 * n) == socle_distance(socle)
+
+
+def zassenhaus_rows(a, b):
+    """The RREF of C1 ∩ C2: rref of the double block (c1 | c1), (c2 | 0),
+    keeping the rows whose top block is zero."""
+    w = 3 * a.n
+    both = rref([r << w | r for r in a.rows] + [r << w for r in b.rows])
+    return tuple(r for r in both if r >> w == 0)
+
+
+# At n = 64 and at odd n = 21 the first two pairs of each length meet
+# in a code smaller than either; the last pair at n = 21 is the whole
+# space and a code, which meet in that code.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(generator_set_pairs())
+@example((64, [RingWord.from_poly_text(64, "x^32+1;x^3+x;x^7+1")],
+          [RingWord.from_poly_text(64, "x^16+1;x;0"),
+           RingWord.from_poly_text(64, "0;0;x^8+1")]))
+@example((64, [RingWord.from_poly_text(64, "0;x^16+1;x^5")],
+          [RingWord.from_poly_text(64, "x^32+1;0;x^3")]))
+@example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
+               RingWord.from_poly_text(21, "0;x^7+1;x^5")],
+          [RingWord.from_poly_text(21, "x^3+x^2+1;x^4;x")]))
+@example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
+               RingWord.from_poly_text(21, "0;x^7+1;x^5")],
+          [RingWord.from_poly_text(21, "x^6+x^4+x^2+x+1;0;x^2")]))
+@example((21, [RingWord(21, 1)], [RingWord.from_poly_text(21, "0;x^3+x+1;1")]))
+def test_intersection_matches_zassenhaus_on_rref(case):
+    # The intersection is stored as its lowest rows; they must give the
+    # RREF of the general double-block reduction, and its generators
+    # must generate it, as must the u^2-subcode's.
+    n, gens, other = case
+    a = CyclicCode.from_generators(n, gens)
+    b = CyclicCode.from_generators(n, other)
+    i = a.intersect_with(b)
+    assert i.rows == zassenhaus_rows(a, b)
+    assert CyclicCode.from_generators(n, i.generators) == i
+    for c in (a, b, i):
+        sub = c.u2_subcode()
+        assert CyclicCode.from_generators(n, sub.generators) == sub

@@ -192,6 +192,20 @@ def test_dual_matches_three_equation_reference(case):
         assert (d.rows, d.generators) == three_equation_dual(c, flavor)
 
 
+def row_masks(c, flavor):
+    """The u^2-layer equation mask of every basis row, as
+    three_equation_dual builds it, plus the Hermitian mask."""
+    n = c.n
+    mask = (1 << n) - 1
+    masks = []
+    for b in c.rows:
+        g1, g2, g3 = b >> 2 * n, (b >> n) & mask, b & mask
+        masks.append(g3 << 2 * n | g2 << n | g1)
+    if flavor == "hermitian":
+        masks.append(mask << 2 * n)
+    return masks
+
+
 def per_bit_kernel(masks, width):
     """Reference kernel: each bit of an RREF row besides its pivot is a
     free column whose vector the pivot joins, walked one bit at a time."""
@@ -221,11 +235,14 @@ def per_bit_kernel(masks, width):
 @example((5, [RingWord(5, 0, 0, 1)]))
 def test_kernel_matches_per_bit_walk(case):
     # The same vectors in the same order: one per free column, ascending.
+    # _kernel gets the at most four seed masks; the reference walks the
+    # RREF of every basis row's mask.
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
     for flavor in FLAVORS:
-        masks = _orthogonality_masks(c, flavor)
-        assert _kernel(n, masks) == per_bit_kernel(masks, 3 * n)
+        seeds = _orthogonality_masks(c, flavor)
+        assert len(seeds) <= 4
+        assert _kernel(n, seeds) == per_bit_kernel(row_masks(c, flavor), 3 * n)
 
 
 def test_dual_brute_rejects_large_n():
@@ -367,3 +384,16 @@ def test_verify_dual_divisibility_hypothesis_violation():
     assert not report["hypotheses_ok"]
     assert any("a1 does not divide p1" in v for v in report["violations"])
     assert report["claims"] == [None] * 6
+
+
+def test_dual_and_sum_leave_the_rows_unbuilt():
+    # Both are seeded from a code's at most three lowest rows, so neither
+    # rotates the full basis out of them.
+    n = 64
+    c = CyclicCode.from_generators(
+        n, [RingWord.from_poly_text(n, "x^32+1;x^3+x;x^7+1")])
+    d = CyclicCode.from_generators(n, [RingWord.from_poly_text(n, "0;x^16+1;x^5")])
+    for flavor in FLAVORS:
+        dual_code(c, flavor)
+    c.sum_with(d)
+    assert c._rows is None and d._rows is None
