@@ -112,7 +112,10 @@ def _load_spec(text):
     raw = text.strip()
     if not raw.startswith("{"):
         raw = Path(raw).read_text(encoding="utf-8")
-    spec = json.loads(raw)
+    try:
+        spec = json.loads(raw)
+    except RecursionError:
+        raise ValueError("spec JSON is nested too deeply") from None
     if not isinstance(spec, dict):
         raise ValueError("spec must be a JSON object")
     n = spec.get("n")

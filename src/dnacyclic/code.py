@@ -14,10 +14,11 @@ quantity deterministic.
 Multiplication by x rotates each n-bit layer of the packed integer by
 one place, and every span the package builds is closed under x: a code,
 a sum or intersection of codes, a dual and the span of a dual's parity
-masks.  One routine, _x_span_lows, builds each of them but the
-intersection as the x-closure of a few seed rows; the intersection is
-read off the double block of both bases instead.  The routine keeps a
-plain echelon form, reducing each inserted vector by leading bits only.
+masks.  One routine, _x_span_lows, builds each of them as the x-closure
+of a few seed rows; for the intersection those are both codes' lowest
+rows in the Zassenhaus double block, a 6n-bit vector whose two halves x
+rotates alike.  The routine keeps a plain echelon form, reducing each
+inserted vector by leading bits only.
 The span built from earlier seeds is closed under x, so a seed's chain
 x^i * v stops at the first shift already in the span: every later shift
 lies in it too.  A chain rotates the stored remainder of its last shift,
@@ -35,10 +36,13 @@ it times x plus, at most, the lowest rows of three layers.  So the
 lowest RREF row of each layer fixes the whole basis and generates the
 span under x, and a code is stored as those at most three rows: they
 decide equality and the hash, the dimension is read off their pivots,
-they seed sums and duals, and the rows are rotated out of them only
-when read.  A layer's lowest row is reduced once, against the echelon
-rows of the layers below it.  rref back-reduces an arbitrary span bit
-by bit; it is public, and the package itself does not call it.
+they seed sums, intersections and duals, and the rows are rotated out
+of them only when read.  A code grown from seed rows rather than from
+words (a dual, an intersection, a u^2-subcode) builds its generators
+only when they are read, too.  A layer's lowest row is reduced once,
+against the echelon rows of the layers below it.  rref back-reduces an
+arbitrary span bit by bit; it is public, and the package itself does
+not call it.
 
 The torsion generators and the canonical presentation are read off the
 lowest basis row of each layer.  That row's layer part is the torsion
@@ -133,9 +137,9 @@ def rref(vectors):
 
 
 @functools.lru_cache(maxsize=256)
-def _layer_tops(n):
-    """The top bit of each of the three n-bit layers, as one mask."""
-    return (1 << n - 1) * ((1 << 3 * n) - 1) // ((1 << n) - 1)
+def _layer_tops(n, layers=3):
+    """The top bit of each n-bit layer of a (layers * n)-bit vector, as one mask."""
+    return (1 << n - 1) * ((1 << layers * n) - 1) // ((1 << n) - 1)
 
 
 def _cyclic_lows(n, pivots):
@@ -169,19 +173,20 @@ def _cyclic_lows(n, pivots):
     return tuple(lows)
 
 
-def _rotated_rows(n, lows):
-    """The RREF of an x-closed span from its lowest rows, highest pivot first.
+def rows_from_lows(n, lows):
+    """Yield the RREF rows of an x-closed span from its lowest rows.
 
-    Each further row of a layer is the one below it times x: a row zero
-    at every other pivot has its layer-i part below its pivot and each
-    lower layer's part below that layer's lowest pivot, so the rotation
-    wraps no pivot bit and can set no pivot bit but its own and the
-    lowest one of each non-empty layer; adding those layers' lowest rows
-    clears them, so each row costs one rotation and at most three
-    conditional XORs.
+    lows is as CyclicCode.lows keeps it.  The rows come layer by layer,
+    the u^2 layer first, each layer from its lowest pivot up, so in
+    ascending pivot order.  Each further row of a layer is the one below
+    it times x: a row zero at every other pivot has its layer-i part
+    below its pivot and each lower layer's part below that layer's
+    lowest pivot, so the rotation wraps no pivot bit and can set no
+    pivot bit but its own and the lowest one of each non-empty layer;
+    adding those layers' lowest rows clears them, so each row costs one
+    rotation and at most three conditional XORs.
     """
     tops = _layer_tops(n)
-    rows = []
     seen = []  # (lowest pivot bit, its row) of each layer read so far
     low_bits = 0  # those layers' lowest pivot bits
     for block in range(3):  # the u^2 layer first
@@ -191,7 +196,7 @@ def _rotated_rows(n, lows):
         lo = v.bit_length() - 1
         seen.append((1 << lo, v))
         low_bits |= 1 << lo
-        rows.append(v)
+        yield v
         for _ in range(lo + 1, (block + 1) * n):
             t = v & tops
             v = (v ^ t) << 1 | t >> n - 1
@@ -199,20 +204,21 @@ def _rotated_rows(n, lows):
                 for bit, low in seen:
                     if v & bit:
                         v ^= low
-            rows.append(v)
-    rows.reverse()
-    return tuple(rows)
+            yield v
 
 
-def _x_span_lows(n, seeds):
+def _x_span_lows(n, seeds, layers=3):
     """The lowest RREF row of each layer of the x-closure of packed seeds.
 
+    The seeds have the given number of n-bit layers, each rotated by x.
     Each seed is inserted as _insert does, and while its stored remainder
     is new, that remainder times x is inserted next; the chain ends at
-    the first shift already in the span.
+    the first shift already in the span.  Only the low three layers are
+    read: with six, as for the Zassenhaus double block, the echelon rows
+    pivoting there span the closure's vectors that are zero above them.
     """
-    tops = _layer_tops(n)
-    pivots = [0] * (3 * n)
+    tops = _layer_tops(n, layers)
+    pivots = [0] * (layers * n)
     for v in seeds:
         while v:
             p = v.bit_length() - 1
@@ -224,11 +230,6 @@ def _x_span_lows(n, seeds):
                 t = v & tops
                 v = (v ^ t) << 1 | t >> n - 1
     return _cyclic_lows(n, pivots)
-
-
-def cyclic_rref(n, vectors):
-    """The RREF of the x-closure of packed vectors, highest pivot first."""
-    return _rotated_rows(n, _x_span_lows(n, vectors))
 
 
 def gray_walk(rows):
@@ -244,27 +245,32 @@ def gray_walk(rows):
         yield v
 
 
-def _presented_dim(n, g, p1, p2, a2):
-    """GF(2) dimension of <g + u p1 + u^2 p2, u^2 a2>, without building it.
+def _torsion(n, g, p1, p2):
+    """(a1, t) for the code <g + u p1 + u^2 p2>, without building it.
 
     g divides m = x^n + 1 (g = m with p1 = p2 = 0 stands for an empty
-    unit layer), and a2 = 0 means no second generator.  The code's size
-    is the product of its three torsion codes' sizes (Norton and
-    Salagean, 2000), and with h = (m/g) p1 these are, as derived in the
-    constraints module docstring:
-
-        Tor_0 = <g>,  Tor_1 = <a1> with a1 = gcd(g, h),
-        Tor_2 = <t2> with t2 = gcd(a1, (m/a1) p2 + (h/a1) p1, a2),
-
-    so the dimension is 3n - deg g - deg a1 - deg t2.
+    unit layer).  With h = (m/g) p1, as derived in the constraints
+    module docstring, the code's torsion codes are Tor_0 = <g>,
+    Tor_1 = <a1> with a1 = gcd(g, h) and Tor_2 = <t> with
+    t = gcd(a1, (m/a1) p2 + (h/a1) p1); adding the generator u^2 a2
+    makes Tor_2 = <gcd(t, a2)> (a2 = 0 adds nothing).  The code's size
+    is the product of its torsion codes' sizes (Norton and Salagean,
+    2000).
     """
     m = polyf2.xn1(n)
     h = polyf2.mul(polyf2.divrem(m, g)[0], p1)
     a1 = polyf2.gcd(g, h)
     mix = (polyf2.mul(polyf2.divrem(m, a1)[0], p2)
            ^ polyf2.mul(polyf2.divrem(h, a1)[0], p1))
-    t2 = polyf2.gcd(polyf2.gcd(a1, mix), a2)
-    return 3 * n - polyf2.degree(g) - polyf2.degree(a1) - polyf2.degree(t2)
+    return a1, polyf2.gcd(a1, mix)
+
+
+def _presented_dim(n, g, p1, p2, a2):
+    """GF(2) dimension of <g + u p1 + u^2 p2, u^2 a2>, without building it:
+    3n - deg g - deg a1 - deg gcd(t, a2), with (a1, t) from _torsion."""
+    a1, t = _torsion(n, g, p1, p2)
+    return (3 * n - polyf2.degree(g) - polyf2.degree(a1)
+            - polyf2.degree(polyf2.gcd(t, a2)))
 
 
 @dataclass(frozen=True)
@@ -307,11 +313,13 @@ class CyclicCode:
 
     lows[i] is the lowest-pivot row of layer i's rows in the canonical
     basis, 0 for an empty layer.  The lows fix the whole basis (see
-    _rotated_rows), so they decide equality and the dimension; the rows
-    are read from them on first use and kept.
+    rows_from_lows), so they decide equality and the dimension; the rows
+    are read from them on first use and kept.  A code grown from seed
+    rows (a dual, an intersection, a u^2-subcode) builds its generators
+    on first read as well.
     """
 
-    __slots__ = ("n", "lows", "generators", "_rows")
+    __slots__ = ("n", "lows", "_generators", "_rows")
 
     def __init__(self, n, rows, generators=()):
         """The ideal whose RREF basis, highest pivot first, is rows."""
@@ -321,28 +329,34 @@ class CyclicCode:
             lows[2 - (r.bit_length() - 1) // n] = r
         self.n = n
         self.lows = tuple(lows)
-        self.generators = tuple(generators)
+        self._generators = tuple(generators)
         self._rows = rows
 
     @classmethod
     def _of_lows(cls, n, lows, generators=None):
-        """The code with the given lows.
+        """The code with the given lows; its rows are built when first read.
 
-        Its rows are built when first read, except without generators:
-        then the basis rows, as words, are its generators.
+        generators is a tuple of words, a function of no arguments that
+        returns them, called when they are first read, or None: then the
+        basis rows, as words, are the generators.
         """
         c = cls.__new__(cls)
         c.n = n
         c.lows = lows
         c._rows = None
-        c.generators = (tuple(unpack(n, r) for r in c.rows)
-                        if generators is None else generators)
+        c._generators = generators
         return c
 
     @classmethod
     def from_span(cls, n, vectors, generators=()):
-        """The code spanned over GF(2) by the x-closure of packed vectors."""
-        return cls._of_lows(n, _x_span_lows(n, vectors), tuple(generators))
+        """The code spanned over GF(2) by the x-closure of packed vectors.
+
+        generators are its generating words, or a function of no
+        arguments that returns them when they are first read.
+        """
+        if not callable(generators):
+            generators = tuple(generators)
+        return cls._of_lows(n, _x_span_lows(n, vectors), generators)
 
     @classmethod
     def from_generators(cls, n, generators):
@@ -369,8 +383,20 @@ class CyclicCode:
     def rows(self):
         """The RREF basis, highest pivot first."""
         if self._rows is None:
-            self._rows = _rotated_rows(self.n, self.lows)
+            rows = list(rows_from_lows(self.n, self.lows))
+            rows.reverse()
+            self._rows = tuple(rows)
         return self._rows
+
+    @property
+    def generators(self):
+        """The generating words, as the code was built from them."""
+        g = self._generators
+        if g is None:
+            g = self._generators = tuple(unpack(self.n, r) for r in self.rows)
+        elif not isinstance(g, tuple):
+            g = self._generators = tuple(g())
+        return g
 
     @property
     def dim(self):
@@ -489,16 +515,20 @@ class CyclicCode:
                                     self.generators + other.generators)
 
     def intersect_with(self, other):
-        """The code C1 ∩ C2, via the Zassenhaus double-block reduction."""
+        """The code C1 ∩ C2, via the Zassenhaus double-block reduction.
+
+        The double block {(c1 | c1)} + {(c2 | 0)} over c1 in C1 and c2 in
+        C2 is closed under x acting on both 3n-bit halves, so it is the
+        chain closure of its lows, taken as six n-bit layers; its vectors
+        with a zero top half are (0 | c) for c in C1 ∩ C2.
+        """
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         w = 3 * self.n
-        pivots = [0] * (2 * w)
-        for v in [r << w | r for r in self.rows] + [r << w for r in other.rows]:
-            _insert(pivots, v)
-        # The echelon rows with a zero top block span C1 ∩ C2, which is
-        # closed under x; _cyclic_lows reads only the low 3n pivots.
-        return CyclicCode._of_lows(self.n, _cyclic_lows(self.n, pivots))
+        # The u^2 layer goes first, as for a sum.
+        seeds = sorted([r << w | r for r in self.lows if r]
+                       + [r << w for r in other.lows if r])
+        return CyclicCode._of_lows(self.n, _x_span_lows(self.n, seeds, 6))
 
     def report_json(self, cap=None):
         """Summary report of the code as a JSON-ready dict."""
@@ -548,7 +578,7 @@ class CyclicCode:
         degree from deg a1 (resp. deg a2) up to n - 1, since T_1 and T_2
         are cyclic.  The case tag is the smallest generator set that
         generates the code, decided by comparing symbolic dimensions
-        (see _presented_dim) with the code's.
+        (see _torsion) with the code's.
         """
         n = self.n
         if n % 2:
@@ -559,10 +589,13 @@ class CyclicCode:
         a1, q = c_a1 >> n, c_a1 & mask
 
         # Both one- and two-generator codes are subcodes of C, so each
-        # equals C exactly when its dimension does.
+        # equals C exactly when its dimension does; they differ only in
+        # Tor_2 (see _torsion).
         g0 = g or polyf2.xn1(n)
-        if _presented_dim(n, g0, p1, p2, 0) == self.dim:
+        sub_a1, t = _torsion(n, g0, p1, p2)
+        rest = 3 * n - polyf2.degree(g0) - polyf2.degree(sub_a1)
+        if rest - polyf2.degree(t) == self.dim:
             return Presentation(1, g, p1, p2, 0, 0, 0)
-        if _presented_dim(n, g0, p1, p2, a2) == self.dim:
+        if rest - polyf2.degree(polyf2.gcd(t, a2)) == self.dim:
             return Presentation(2, g, p1, p2, 0, 0, a2)
         return Presentation(3, g, p1, p2, a1, q, a2)

@@ -19,10 +19,14 @@ an ideal and the Hermitian extra equation are both invariant under x
 and u.  A row's equation mask is the row with its outer layers swapped,
 which commutes with x, so the masks span the x-closure of the code's
 at most three lowest rows, swapped, plus the Hermitian mask; those at
-most four masks seed the equations' RREF (see the code module).  The
+most four masks seed the equations' span (see the code module).  The
 kernel is closed under x as well: it has one vector per free column in
-ascending column order, read from the vector of each layer's top free
-column, and those at most three top vectors seed the dual code.
+ascending column order.  Each layer's top free column gets its vector
+from one pass over the equations' rows as they are rotated out of the
+span's lowest rows, and those at most three top vectors seed the dual
+code.  The rest of the kernel, each lower column's vector being the one
+above it times x^-1, is read only for the dual's generators, which are
+built when first read.
 dual_brute filters every word of R^n by definitional inner products
 against every codeword and exists solely as an independent oracle for
 small n.
@@ -30,8 +34,10 @@ small n.
 
 from __future__ import annotations
 
+import functools
+
 from . import polyf2
-from .code import CyclicCode, cyclic_rref, unpack
+from .code import CyclicCode, rows_from_lows, unpack
 
 FLAVORS = ("euclidean", "hermitian")
 
@@ -78,36 +84,43 @@ def _orthogonality_masks(c, flavor):
     return masks
 
 
-def _kernel(n, masks):
-    """Basis of the solution space of the x-closure of the parity masks.
+def _kernel_tops(n, masks):
+    """[column, vector] of each layer's top free column, u^2 block first.
 
-    One vector per free (non-pivot) column of the equations' RREF, in
-    ascending column order: the column's bit plus the pivot of each row
-    with a bit in that column.  The equations are closed under x, and
-    x permutes the bits with x^-1 as its adjoint, so the solutions are
-    closed under x and x^-1 too.  The free columns of each layer
-    are the bits below its lowest pivot.  The vector of a layer's top
-    free column is read off the RREF with one column scan; each lower
-    free column's vector is the one above it times x^-1, which moves
-    that column's bit down by one, wraps no free bit and sets at most
-    one other free bit per layer: the top free column, from the layer's
-    lowest pivot.  Adding those columns' vectors clears them.
+    The solution space of the x-closure of the parity masks has one
+    vector per free (non-pivot) column of the equations' RREF: the
+    column's bit plus the pivot of each row with a bit in that column.
+    The free columns of each layer are the bits below its lowest pivot,
+    which its lowest row gives, so the top one's vector comes from one
+    pass over the rows as they are rotated out of the lows; no row is
+    kept.
     """
-    rows = cyclic_rref(n, masks)
-    low = [n, 2 * n, 3 * n]  # each n-bit block's lowest pivot, its end if none
-    for r in rows:
-        p = r.bit_length() - 1
-        low[p // n] = p
-    tops = []  # (top free column, its vector) of each block with one
-    for block, lo in enumerate(low):
-        f = lo - 1
-        if f < block * n:
-            continue
-        v = 1 << f
-        for r in rows:
-            if r >> f & 1:
-                v |= 1 << r.bit_length() - 1
-        tops.append((f, v))
+    lows = CyclicCode.from_span(n, masks).lows
+    tops = []
+    for block in range(3):
+        low = lows[2 - block]
+        f = low.bit_length() - 2 if low else (block + 1) * n - 1
+        if f >= block * n:
+            tops.append([f, 1 << f])
+    if tops:
+        for r in rows_from_lows(n, lows):
+            for top in tops:
+                if r >> top[0] & 1:
+                    top[1] |= 1 << r.bit_length() - 1
+    return tops
+
+
+def _kernel_below(n, tops):
+    """The kernel basis from its top vectors, in ascending column order.
+
+    The equations are closed under x, and x permutes the bits with x^-1
+    as its adjoint, so the solutions are closed under x and x^-1 too.
+    Each lower free column's vector is the one above it times x^-1,
+    which moves that column's bit down by one, wraps no free bit and
+    sets at most one other free bit per layer: the top free column,
+    from the layer's lowest pivot.  Adding those columns' vectors clears
+    them.
+    """
     bottoms = 1 | 1 << n | 1 << 2 * n
     kernel = []
     for f, v in tops:
@@ -124,15 +137,28 @@ def _kernel(n, masks):
     return kernel
 
 
+def _kernel(n, masks):
+    """Basis of the solution space of the x-closure of the parity masks,
+    one vector per free column in ascending column order."""
+    return _kernel_below(n, _kernel_tops(n, masks))
+
+
+def _kernel_words(n, tops):
+    """The kernel basis from its top vectors, as words."""
+    return [unpack(n, v) for v in _kernel_below(n, tops)]
+
+
 def dual_code(c, flavor="euclidean"):
-    """The dual code by the kernel method."""
+    """The dual code by the kernel method.
+
+    The kernel's top vectors seed the dual; its generators, the whole
+    kernel basis as words, are built when first read.
+    """
     _check_flavor(flavor)
     n = c.n
-    kernel = _kernel(n, _orthogonality_masks(c, flavor))
-    # A free column's vector has that column as its lowest bit, and the
-    # last vector of each layer is its top free column's.
-    top = {((v & -v).bit_length() - 1) // n: v for v in kernel}
-    return CyclicCode.from_span(n, top.values(), [unpack(n, v) for v in kernel])
+    tops = _kernel_tops(n, _orthogonality_masks(c, flavor))
+    return CyclicCode.from_span(n, [v for _, v in tops],
+                                functools.partial(_kernel_words, n, tops))
 
 
 def dual_brute(c, flavor="euclidean"):

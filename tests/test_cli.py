@@ -216,6 +216,23 @@ def test_spec_file_not_an_object(tmp_path, capsys, text):
     assert "input error" in err
 
 
+def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
+    # Nesting past the JSON parser's recursion limit exits 2 with one
+    # JSON line on stderr, in process and as a fresh interpreter.
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 4, "x": ' + "[" * depth + "]" * depth + "}",
+                    encoding="utf-8")
+    argv = ["canonical", "--spec", str(path)]
+    code, out, err = run(capsys, argv)
+    fresh = subprocess_cli(argv)
+    for code, out, err in ((code, out, err),
+                           (fresh.returncode, fresh.stdout, fresh.stderr)):
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "input error"
+
+
 def test_cmd_check_cap(capsys):
     spec = json.dumps({"n": 8, "generators": [{"f2": "1"}]})
     code, _, err = run(capsys, ["check", "--spec", spec, "--method",

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnacyclic import polyf2, ring
+from dnacyclic import cli, polyf2, ring
 from dnacyclic.code import (CyclicCode, DEFAULT_ENUM_CAP, Presentation,
-                            _presented_dim, pack, rref, unpack)
+                            _presented_dim, _torsion, pack, rref, unpack)
 from dnacyclic.polyf2 import CapExceeded
 from dnacyclic.polyr import RingWord, u2_all_ones
 
@@ -365,6 +365,43 @@ def test_presented_dim_matches_built_ideal():
                         n, g, p1, p2, a2)
 
 
+def assert_torsion_matches_built_ideal(n, g, p1, p2, a2):
+    words = [RingWord.from_polys(n, g, p1, p2)]
+    if a2:
+        words.append(RingWord.from_polys(n, 0, 0, a2))
+    c = CyclicCode.from_generators(n, words)
+    a1, t = _torsion(n, g, p1, p2)
+    t2 = polyf2.gcd(t, a2)
+    assert (a1, t2) == (c.torsion_generator(1), c.torsion_generator(2))
+    assert c.dim == (3 * n - polyf2.degree(g) - polyf2.degree(a1)
+                     - polyf2.degree(t2))
+
+
+@pytest.mark.parametrize("mode", ["reversible", "rc"])
+def test_torsion_matches_every_certified_search_candidate(mode):
+    single, double = cli._checkers(mode)
+    certified = 0
+    for n in (2, 4, 6):
+        for g, p1, p2, a2 in cli._search_candidates(n):
+            verdict = (single(n, g, p1, p2) if a2 is None
+                       else double(n, g, p1, p2, a2))
+            if verdict.satisfied:
+                certified += 1
+                assert_torsion_matches_built_ideal(n, g, p1, p2, a2 or 0)
+    assert certified > 1000
+
+
+def test_torsion_matches_random_specs():
+    rng = random.Random(32)
+    for n in range(1, 25):
+        divisors = polyf2.divisors_of_xn1(n)
+        for _ in range(12):
+            g = rng.choice(divisors)
+            p1, p2 = rng.randrange(1 << n), rng.randrange(1 << n)
+            a2 = rng.choice([0] + [d for d in divisors if polyf2.divides(d, g)])
+            assert_torsion_matches_built_ideal(n, g, p1, p2, a2)
+
+
 def test_canonical_presentation_odd_n():
     with pytest.raises(ValueError):
         CyclicCode.zero(3).canonical_presentation()
@@ -705,3 +742,34 @@ def test_intersection_matches_zassenhaus_on_rref(case):
     for c in (a, b, i):
         sub = c.u2_subcode()
         assert CyclicCode.from_generators(n, sub.generators) == sub
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(generator_set_pairs(), st.booleans())
+def test_grown_codes_read_their_rows_as_generators(case, rows_first):
+    # An intersection and a u^2-subcode build their generators, the
+    # basis rows as words, on first read, whichever is read first.
+    n, gens, other = case
+    a = CyclicCode.from_generators(n, gens)
+    b = CyclicCode.from_generators(n, other)
+    for c in (a.intersect_with(b), b.intersect_with(a), a.u2_subcode()):
+        if rows_first:
+            assert len(c.rows) == c.dim
+        assert c.generators == tuple(unpack(n, r) for r in c.rows)
+
+
+def test_intersection_at_the_length_bound():
+    # At n = 1024 the intersection grows from the operands' lows alone,
+    # so neither operand's rows are built, and it still equals the
+    # reduction of both full bases.
+    n = 1024
+    a = CyclicCode.from_generators(
+        n, [RingWord.from_poly_text(n, "x^512+1;x^3+x;x^7+1")])
+    b = CyclicCode.from_generators(
+        n, [RingWord.from_poly_text(n, "x^256+1;x;0"),
+            RingWord.from_poly_text(n, "0;0;x^8+1")])
+    i = a.intersect_with(b)
+    assert a._rows is None and b._rows is None
+    assert (a.dim, b.dim, i.dim) == (2044, 2552, 1782)
+    assert i.rows == zassenhaus_rows(a, b)
+    assert i.generators == tuple(unpack(n, r) for r in i.rows)

@@ -245,6 +245,27 @@ def test_kernel_matches_per_bit_walk(case):
         assert _kernel(n, seeds) == per_bit_kernel(row_masks(c, flavor), 3 * n)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(dual_inputs())
+@example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
+               RingWord.from_poly_text(21, "0;x^7+1;x^5")]))
+@example((9, [RingWord(9, 1)]))
+def test_dual_generators_are_the_kernel_words(case):
+    # The dual is grown from the kernel's top vectors; its generators,
+    # built on first read, are the whole kernel basis as words, and the
+    # dual is the same whether its rows or its dimension is read first.
+    n, gens = case
+    c = CyclicCode.from_generators(n, gens)
+    for flavor in FLAVORS:
+        words = tuple(unpack(n, v)
+                      for v in _kernel(n, _orthogonality_masks(c, flavor)))
+        rows_first, dim_first = dual_code(c, flavor), dual_code(c, flavor)
+        assert len(rows_first.rows) == dim_first.dim
+        assert rows_first.generators == dim_first.generators == words
+        assert rows_first.rows == dim_first.rows
+        assert rows_first == dim_first
+
+
 def test_dual_brute_rejects_large_n():
     with pytest.raises(ValueError):
         dual_brute(CyclicCode.zero(9))
@@ -397,3 +418,17 @@ def test_dual_and_sum_leave_the_rows_unbuilt():
         dual_code(c, flavor)
     c.sum_with(d)
     assert c._rows is None and d._rows is None
+
+
+def test_grown_codes_leave_their_generators_unbuilt():
+    # A dual and an intersection grow from seed rows; their generators
+    # wait until they are read.
+    n = 64
+    c = CyclicCode.from_generators(
+        n, [RingWord.from_poly_text(n, "x^32+1;x^3+x;x^7+1")])
+    d = CyclicCode.from_generators(n, [RingWord.from_poly_text(n, "0;x^16+1;x^5")])
+    grown = [dual_code(c, flavor) for flavor in FLAVORS] + [c.intersect_with(d)]
+    for e in grown:
+        assert not isinstance(e._generators, tuple)
+        assert CyclicCode.from_generators(n, e.generators) == e
+        assert isinstance(e._generators, tuple)
