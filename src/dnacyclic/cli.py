@@ -206,14 +206,15 @@ def _cmd_check(args):
 
 
 def _search_candidates(n):
-    """Yield (g, p1, p2, a2) for each structural candidate of even length n.
+    """Yield (g, p1, p2, a2s) for each structural (g, p1, p2) of even length n.
 
     Plain packed polynomials, each of degree below n: g runs over the
     divisors of x^n + 1 of degree 1 to n - 1, and p1, p2 over every
-    polynomial of degree below deg g.  Each (g, p1, p2) yields first the
-    one-generator candidate <g + u p1 + u^2 p2> with a2 = None, then the
-    two-generator candidate <g + u p1 + u^2 p2, u^2 a2> for each proper
-    divisor a2 of g.
+    polynomial of degree below deg g.  a2s lists the candidates of one
+    (g, p1, p2) in order: None for the one-generator candidate
+    <g + u p1 + u^2 p2>, then each proper divisor a2 of g for the
+    two-generator candidate <g + u p1 + u^2 p2, u^2 a2>.  It is one
+    tuple per g, built once.
     """
     divisors = polyf2.divisors_of_xn1(n)
     for g in divisors:
@@ -223,8 +224,7 @@ def _search_candidates(n):
         a2s = (None, *(d for d in divisors if d != g and polyf2.divides(d, g)))
         for p1 in range(1 << r):
             for p2 in range(1 << r):
-                for a2 in a2s:
-                    yield g, p1, p2, a2
+                yield g, p1, p2, a2s
 
 
 def _cmd_search(args):
@@ -233,39 +233,48 @@ def _cmd_search(args):
         raise ValueError("search requires an even length n >= 2")
     cap = args.cap
     truncated = False
+    # --max-configs bounds the candidates checked; a negative budget
+    # checks none.  Each (g, p1, p2) is counted whole, the one the budget
+    # ends in is cut to the candidates inside it, and configs then reads
+    # budget + 1: the number of the first candidate past the budget.
+    budget = max(args.max_configs, 0)
     configs = 0
     seen = {}
     single, double = _checkers(args.require)
-    for g, p1, p2, a2 in _search_candidates(n):
-        configs += 1
-        if configs > args.max_configs:
+    for g, p1, p2, a2s in _search_candidates(n):
+        configs += len(a2s)
+        if configs > budget:
             truncated = True
+            a2s = a2s[:budget + len(a2s) - configs]
+            configs = budget + 1
+        for a2 in a2s:
+            verdict = (single(n, g, p1, p2) if a2 is None
+                       else double(n, g, p1, p2, a2))
+            if not verdict.satisfied:
+                continue
+            # Every layer has degree below n, so the words need no reduction.
+            gens = [RingWord(n, g, p1, p2)]
+            if a2 is not None:
+                gens.append(RingWord(n, 0, 0, a2))
+            c = CyclicCode.from_generators(n, gens)
+            if c in seen:
+                continue
+            if c.dim > (DEFAULT_ENUM_CAP if cap is None else cap):
+                truncated = True
+                continue
+            seen[c] = {
+                "n": n,
+                "g": polyf2.to_text(g),
+                "p1": polyf2.to_text(p1),
+                "p2": polyf2.to_text(p2),
+                "a2": None if a2 is None else polyf2.to_text(a2),
+                "case": verdict.case,
+                "dim": c.dim,
+                "cardinality": c.cardinality,
+                "min_distance": c.min_hamming_distance(cap),
+            }
+        if configs > budget:
             break
-        verdict = (single(n, g, p1, p2) if a2 is None
-                   else double(n, g, p1, p2, a2))
-        if not verdict.satisfied:
-            continue
-        # Every layer has degree below n, so the words need no reduction.
-        gens = [RingWord(n, g, p1, p2)]
-        if a2 is not None:
-            gens.append(RingWord(n, 0, 0, a2))
-        c = CyclicCode.from_generators(n, gens)
-        if c in seen:
-            continue
-        if c.dim > (DEFAULT_ENUM_CAP if cap is None else cap):
-            truncated = True
-            continue
-        seen[c] = {
-            "n": n,
-            "g": polyf2.to_text(g),
-            "p1": polyf2.to_text(p1),
-            "p2": polyf2.to_text(p2),
-            "a2": None if a2 is None else polyf2.to_text(a2),
-            "case": verdict.case,
-            "dim": c.dim,
-            "cardinality": c.cardinality,
-            "min_distance": c.min_hamming_distance(cap),
-        }
     hits = [h for h in seen.values() if h["min_distance"] >= args.min_distance]
     hits.sort(key=lambda h: (-h["min_distance"], -h["cardinality"],
                              h["g"], h["p1"], h["p2"], h["a2"] or ""))

@@ -207,6 +207,18 @@ def rows_from_lows(n, lows):
             yield v
 
 
+def _row_words(n, lows):
+    """The RREF rows of the x-closed span with the given lows as words,
+    highest pivot first."""
+    return [unpack(n, r) for r in reversed(list(rows_from_lows(n, lows)))]
+
+
+def _joined_words(sources):
+    """The words of each source in turn; a source is a tuple of words or
+    a function of no arguments that returns them."""
+    return [w for s in sources for w in (s if isinstance(s, tuple) else s())]
+
+
 def _x_span_lows(n, seeds, layers=3):
     """The lowest RREF row of each layer of the x-closure of packed seeds.
 
@@ -398,6 +410,15 @@ class CyclicCode:
             g = self._generators = tuple(g())
         return g
 
+    def _generator_source(self):
+        """What the generators are read from, holding no reference to
+        the code: a tuple of words, or a function of no arguments that
+        returns them."""
+        g = self._generators
+        if g is None:
+            return functools.partial(_row_words, self.n, self.lows)
+        return g
+
     @property
     def dim(self):
         """GF(2) dimension; the code has 2^dim words.
@@ -511,8 +532,10 @@ class CyclicCode:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         # Each code is the x-closure of its lows; the u^2 layer goes first.
+        # The generators are joined when read, from the operands' sources.
+        sources = (self._generator_source(), other._generator_source())
         return CyclicCode.from_span(self.n, sorted(self.lows + other.lows),
-                                    self.generators + other.generators)
+                                    functools.partial(_joined_words, sources))
 
     def intersect_with(self, other):
         """The code C1 ∩ C2, via the Zassenhaus double-block reduction.

@@ -44,7 +44,13 @@ m = x^n+1, h = (m/g) p1 and a1 = gcd(g, h):
 t2 = gcd(a1, (m/a1) p2 + (h/a1) p1, a2) divides 1 + x + ... + x^(n-1).
 That reduces to one divisibility test: with e the largest power of two
 dividing n, the word is a codeword unless x^e + 1 = (x+1)^e divides
-each of g, p1, p2 and a2 (see _u2_all_ones_member).
+each of g, p1, p2 and a2 (see _rc).  The test splits in two halves.
+The (g, a2) half depends on (n, g, a2) alone and is cached with the
+other generator facts: when (x+1)^e fails to divide g or a2 (an absent
+a2 counts as divisible), the word is a codeword whatever p1 and p2 are,
+and the rc verdict is the reversible one at no further cost.  Only when
+(x+1)^e divides both does the (p1, p2) half run, one fold of each
+modulo x^e + 1 per candidate.
 """
 
 from __future__ import annotations
@@ -91,13 +97,16 @@ def _degree_hypothesis(g, p1, p2):
 
 @functools.lru_cache(maxsize=1024)
 def _generator_facts(n, g, a2):
-    """(chain, recip, divisor) for nonzero g; a2 = None: one generator.
+    """(chain, recip, divisor, member) for nonzero g; a2 = None: one generator.
 
-    All three depend on (n, g, a2) alone, so a search over (p1, p2)
+    All four depend on (n, g, a2) alone, so a search over (p1, p2)
     reads them from the cache: chain is whether a2 | g | x^n+1 (a2 = 0
     breaks it), recip the verdict naming the self-reciprocity failures
-    of g then a2 (None if there are none), and divisor is a2 or g.
-    Structurally invalid inputs raise, and a raise is not cached.
+    of g then a2 (None if there are none), divisor is a2 or g, and
+    member is whether (x+1)^e fails to divide g or a2 (an absent a2
+    counts as divisible), which makes the all-u^2 word a codeword
+    whatever p1 and p2 are (module docstring).  Structurally invalid
+    inputs raise, and a raise is not cached.
     """
     if n < 1 or n % 2:
         raise ValueError(f"checker requires an even length, got n = {n}")
@@ -111,21 +120,25 @@ def _generator_facts(n, g, a2):
         f"{name} is not self-reciprocal"
         for name, f in (("g", g), ("a2", a2 or 0))
         if not polyf2.is_self_reciprocal(f))
-    return chain, Verdict(False, "NONE", True, notes) if notes else None, a2 or g
+    e = n & -n
+    member = bool(polyf2.mod_xn1(g, e) or polyf2.mod_xn1(a2 or 0, e))
+    recip = Verdict(False, "NONE", True, notes) if notes else None
+    return chain, recip, a2 or g, member
 
 
 _CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABC"}
 _NO_CASE = Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
 
 
-def _reversible(n, g, p1, p2, a2):
+def _reversible(facts, g, p1, p2, a2):
     """Reversibility of <g + u p1 + u^2 p2, u^2 a2>; a2 None: one generator.
 
     A broken chain is a hypothesis failure for one generator and an
     error for two.  The s1 test picks the branch and its residue; the
     code is reversible exactly when (a2 or g) divides the residue.
+    facts is _generator_facts(n, g, a2).
     """
-    chain, recip, divisor = _generator_facts(n, g, a2)
+    chain, recip, divisor, _ = facts
     w = g.bit_length()
     # Every search candidate passes this one comparison of bit lengths;
     # only a failure reads the notes.
@@ -152,18 +165,28 @@ def _reversible(n, g, p1, p2, a2):
 
 def check_reversible_single(n, g, p1, p2):
     """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A and C."""
-    return _reversible(n, g, p1, p2, None)
+    return _reversible(_generator_facts(n, g, None), g, p1, p2, None)
 
 
 def check_reversible_double(n, g, p1, p2, a2):
     """Reversibility criterion for C = <g + u p1 + u^2 p2, u^2 a2>."""
-    return _reversible(n, g, p1, p2, a2)
+    return _reversible(_generator_facts(n, g, a2), g, p1, p2, a2)
 
 
-def _u2_all_ones_member(n, g, p1, p2, a2):
-    """Whether u^2 (1 + ... + x^(n-1)) is in <g + u p1 + u^2 p2, u^2 a2>.
+@functools.lru_cache(maxsize=64)
+def _not_member(verdict):
+    """verdict, unsatisfied, with the missing all-u^2 word noted."""
+    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
+    return Verdict(False, verdict.case, True, notes)
 
-    Requires g | m = x^n+1.  A codeword (k0 + u k1 + u^2 k2)(g + u p1 +
+
+def _rc(n, g, p1, p2, a2):
+    """Reverse-complement verdict of <g + u p1 + u^2 p2, u^2 a2>; a2 None:
+    one generator.  It is the reversible verdict, turned down with one
+    more note when the hypotheses hold but u^2 (1 + ... + x^(n-1)) is
+    not a codeword.
+
+    With g | m = x^n+1, a codeword (k0 + u k1 + u^2 k2)(g + u p1 +
     u^2 p2) lies in u^2 R exactly when k0 g = 0 and k0 p1 + k1 g = 0
     (mod m), so k0 = (m/g) k0' with the syzygy (m/g) k0' p1 = g k1
     (mod m).  With h = (m/g) p1 and a1 = gcd(g, h) it holds exactly when
@@ -176,31 +199,25 @@ def _u2_all_ones_member(n, g, p1, p2, a2):
     exactly e times, and the word is missing exactly when (x+1)^e | t2.
     (x+1)^e | a1 needs it to divide g, so m/g is prime to x+1, and then
     p1; then m/a1 is prime to x+1 and (h/a1) p1 is a multiple, so
-    (x+1)^e | t2 holds exactly when it also divides p2 and a2.
+    (x+1)^e | t2 holds exactly when it also divides p2 and a2.  The
+    cached member fact settles the (g, a2) half; p1 and p2 are folded
+    only when it leaves the question open.
     """
+    facts = _generator_facts(n, g, a2)
+    verdict = _reversible(facts, g, p1, p2, a2)
+    if facts[3] or not verdict.hypothesis_ok:
+        return verdict
     e = n & -n  # (x+1)^e = x^e + 1, e the largest power of two dividing n
-    return bool(polyf2.mod_xn1(g, e) or polyf2.mod_xn1(a2, e)
-                or polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e))
-
-
-@functools.lru_cache(maxsize=64)
-def _not_member(verdict):
-    """verdict, unsatisfied, with the missing all-u^2 word noted."""
-    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
-    return Verdict(False, verdict.case, True, notes)
-
-
-def _with_membership(verdict, n, g, p1, p2, a2):
-    if not verdict.hypothesis_ok or _u2_all_ones_member(n, g, p1, p2, a2):
+    if polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e):
         return verdict
     return _not_member(verdict)
 
 
 def check_rc_single(n, g, p1, p2):
     """Reverse-complement criterion: reversibility plus the all-u^2 word."""
-    return _with_membership(_reversible(n, g, p1, p2, None), n, g, p1, p2, 0)
+    return _rc(n, g, p1, p2, None)
 
 
 def check_rc_double(n, g, p1, p2, a2):
     """Two-generator reverse-complement criterion."""
-    return _with_membership(_reversible(n, g, p1, p2, a2), n, g, p1, p2, a2)
+    return _rc(n, g, p1, p2, a2)

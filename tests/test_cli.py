@@ -233,6 +233,147 @@ def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
         assert json.loads(line)["error"] == "input error"
 
 
+# Non-ASCII digits: Arabic-Indic 3, fullwidth 3, superscript 3 and
+# Devanagari 2.  int() takes all but the superscript; the polynomial
+# parser takes none.
+ODD_DIGITS = ["٣", "３", "³", "२"]
+
+
+@st.composite
+def hostile_polynomials(draw):
+    """Polynomial text: duplicate terms, stray whitespace, non-ASCII
+    digits, huge exponents and malformed terms."""
+    term = st.one_of(
+        st.sampled_from(["1", "x", "x^2", "x^3", "x^5", "x^7", "0"]),
+        st.sampled_from(ODD_DIGITS).map(lambda d: "x^" + d),
+        st.sampled_from([10 ** 5, 1 << 16, (1 << 16) + 1, 10 ** 30]).map(
+            lambda e: f"x^{e}"),
+        st.just("x^" + "9" * 5000),
+        st.sampled_from(["", "x^", "x^-1", "x^1_0", "X^2", "x**2", "x^01",
+                         "x ^ 2", "\tx", "x^2\n"]))
+    terms = draw(st.lists(term, max_size=5))
+    sep = draw(st.sampled_from(["+", " + ", "+ ", "\t+", "++"]))
+    pad = st.sampled_from(["", " ", "  ", "\t", "\n"])
+    return draw(pad) + sep.join(terms) + draw(pad)
+
+
+def wrong_types(depth):
+    """JSON values of the types no spec field takes, lists nested to
+    the given depth included."""
+    return st.one_of(st.none(), st.booleans(), st.integers(-2, 10 ** 6),
+                     st.floats(allow_nan=False), st.text(max_size=4),
+                     st.just([]), st.just({}),
+                     st.just(json.loads("[" * depth + "]" * depth)))
+
+
+def mostly(good, bad):
+    """Draws from good three times in four, so that most specs get past
+    the first field and hostile values reach every later stage."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+VALID_POLYNOMIALS = ["0", "1", "x", "x+1", "x^2+1", "x^3+x^2+x+1", "x^4+1",
+                     "x^3+x+1", "x^5+x", "x^2"]
+
+
+@st.composite
+def hostile_specs(draw):
+    """Spec text: wrong types for n, generators and the layer fields,
+    hostile polynomial text, deep nesting and malformed JSON."""
+    kind = draw(mostly(st.just("object"), st.sampled_from(
+        ["nested", "not an object", "broken"])))
+    if kind == "nested":
+        depth = draw(st.sampled_from([10, 900, 1100, 5000, 200_000]))
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}")]))
+        field = draw(st.sampled_from(["x", "generators", "n"]))
+        return (f'{{"n": 4, "{field}": ' + opener * depth + "1"
+                + closer * depth + "}")
+    if kind == "not an object":
+        return draw(st.sampled_from(["[1]", '"spec"', "8", "null"]))
+    if kind == "broken":
+        return draw(st.sampled_from(['{"n": 4,', '{"n": 4}}', "{", "{n: 4}",
+                                     '{"n": 4, "generators": [}']))
+    layer = mostly(st.sampled_from(VALID_POLYNOMIALS),
+                   st.one_of(hostile_polynomials(), wrong_types(3)))
+    entry = mostly(st.dictionaries(st.sampled_from(["f2", "u", "u2", "f3"]),
+                                   layer, max_size=4),
+                   wrong_types(2))
+    spec = {}
+    if draw(st.integers(0, 9)):
+        spec["n"] = draw(mostly(st.sampled_from([1, 2, 3, 4, 6, 8]),
+                                st.one_of(st.integers(-2, 0),
+                                          st.sampled_from([1025, 10 ** 30]),
+                                          wrong_types(2))))
+    if draw(st.integers(0, 9)):
+        spec["generators"] = draw(mostly(st.lists(entry, max_size=3),
+                                         wrong_types(2)))
+    return draw(st.sampled_from(["", " ", "\n"])) + json.dumps(spec)
+
+
+def flag(name, values):
+    """Zero or one occurrence of an argv option, in either spelling."""
+    return st.one_of(st.just([]), st.tuples(values, st.booleans()).map(
+        lambda t: [f"{name}={t[0]}"] if t[1] else [name, str(t[0])]))
+
+
+@st.composite
+def hostile_argv(draw):
+    """argv that argparse accepts, for each of the seven commands, with
+    drawn options in drawn order."""
+    command = draw(st.sampled_from(["table2", "check", "search", "dual",
+                                    "distance", "enumerate", "canonical"]))
+    cap = st.integers(-3, 16)
+    options = {
+        "table2": [],
+        "check": [flag("--mode", st.sampled_from(["rc", "reversible"])),
+                  flag("--method", st.sampled_from(["theorem", "oracle",
+                                                    "both"])),
+                  flag("--cap", cap)],
+        "search": [flag("--min-distance", st.integers(-2, 8)),
+                   flag("--require", st.sampled_from(["rc", "reversible"])),
+                   flag("--cap", cap)],
+        "dual": [flag("--flavor", st.sampled_from(["euclidean",
+                                                   "hermitian"]))],
+        "distance": [flag("--cap", cap)],
+        "enumerate": [flag("--format", st.sampled_from(["tokens", "dna"]))],
+        "canonical": [],
+    }[command]
+    parts = [draw(o) for o in options]
+    if command == "search":
+        # A bounded budget; n past the divisor cap exits 3 at once.
+        n = mostly(st.sampled_from([2, 4, 6, 8, 10, 12]), st.sampled_from(
+            [-2, 0, 3, 31, 33, 10 ** 6, *ODD_DIGITS[:2]]))
+        parts += [["--n", str(draw(n))],
+                  ["--max-configs", str(draw(st.integers(-5, 300)))]]
+    elif command == "enumerate":
+        # Always capped: the default cap lists up to 2^24 lines.
+        parts.append(["--cap", str(draw(st.integers(-1, 10)))])
+    if command not in ("table2", "search"):
+        parts.append(["--spec", draw(hostile_specs())])
+    parts = draw(st.permutations(parts))
+    return [command] + [arg for part in parts for arg in part]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(hostile_argv())
+@example(["canonical", "--spec", '{"n": 4, "x": ' + "[" * 200_000
+          + "]" * 200_000 + "}"])
+@example(["check", "--spec", '{"n": 4, "generators": [{"f2": "x^٣"}]}'])
+@example(["search", "--n", "３"])
+def test_hostile_input_exits_cleanly(argv):
+    """Every command, on hostile specs and options, exits 0 to 3 with
+    stderr empty or one JSON error line, and raises nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    text = err.getvalue()
+    if text:
+        [line] = text.splitlines()
+        assert "error" in json.loads(line)
+    assert "Traceback" not in out.getvalue() + text
+
+
 def test_cmd_check_cap(capsys):
     spec = json.dumps({"n": 8, "generators": [{"f2": "1"}]})
     code, _, err = run(capsys, ["check", "--spec", spec, "--method",
@@ -537,6 +678,105 @@ def test_search_matches_certificate_loop(capsys, n, require):
     assert len(hits) == len(first) == summary["hits"]
     assert summary["configs"] == candidates
     assert summary["truncated"] is False
+
+
+def reference_candidates(n):
+    """Yield (g, p1, p2, a2) per candidate, a2 = None for one generator:
+    search's walk order, one candidate at a time."""
+    divisors = polyf2.divisors_of_xn1(n)
+    for g in divisors:
+        r = polyf2.degree(g)
+        if not 1 <= r <= n - 1:
+            continue
+        a2s = (None, *(d for d in divisors if d != g and polyf2.divides(d, g)))
+        for p1 in range(1 << r):
+            for p2 in range(1 << r):
+                for a2 in a2s:
+                    yield g, p1, p2, a2
+
+
+def reference_search(n, require, max_configs, cap, min_distance):
+    """(stdout, exit code) of search as a loop of one candidate at a time:
+    one public-checker call per candidate up to --max-configs, one build
+    per certified candidate, and the first-seen candidate of each code."""
+    single = (constraints.check_rc_single if require == "rc"
+              else constraints.check_reversible_single)
+    double = (constraints.check_rc_double if require == "rc"
+              else constraints.check_reversible_double)
+    truncated = False
+    configs = 0
+    seen = {}
+    for g, p1, p2, a2 in reference_candidates(n):
+        configs += 1
+        if configs > max_configs:
+            truncated = True
+            break
+        verdict = (single(n, g, p1, p2) if a2 is None
+                   else double(n, g, p1, p2, a2))
+        if not verdict.satisfied:
+            continue
+        gens = [RingWord(n, g, p1, p2)]
+        if a2 is not None:
+            gens.append(RingWord(n, 0, 0, a2))
+        c = CyclicCode.from_generators(n, gens)
+        if c in seen:
+            continue
+        if c.dim > (24 if cap is None else cap):
+            truncated = True
+            continue
+        seen[c] = {
+            "n": n, "g": polyf2.to_text(g), "p1": polyf2.to_text(p1),
+            "p2": polyf2.to_text(p2),
+            "a2": None if a2 is None else polyf2.to_text(a2),
+            "case": verdict.case, "dim": c.dim,
+            "cardinality": c.cardinality,
+            "min_distance": c.min_hamming_distance(cap),
+        }
+    hits = [h for h in seen.values() if h["min_distance"] >= min_distance]
+    hits.sort(key=lambda h: (-h["min_distance"], -h["cardinality"],
+                             h["g"], h["p1"], h["p2"], h["a2"] or ""))
+    lines = [json.dumps(h, sort_keys=True) for h in hits]
+    lines.append(json.dumps({"summary": True, "hits": len(hits),
+                             "configs": configs, "truncated": truncated},
+                            sort_keys=True))
+    return "".join(line + "\n" for line in lines), 3 if truncated else 0
+
+
+@st.composite
+def search_windows(draw):
+    """(n, require, --max-configs, --cap or None, --min-distance).
+
+    Small budgets come up often: the first-seen candidates of distinct
+    codes crowd the start of the walk, where stopping one candidate
+    early or late changes the output most often.
+    """
+    n = draw(st.sampled_from([2, 4, 6]))
+    total = sum(1 for _ in reference_candidates(n))
+    budget = draw(st.one_of(st.integers(0, min(total + 1, 60)),
+                            st.integers(0, total + 1)))
+    return (n, draw(st.sampled_from(["rc", "reversible"])), budget,
+            draw(st.one_of(st.none(), st.integers(4, 12))),
+            draw(st.integers(0, 4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(search_windows())
+@example((6, "rc", 8792, None, 0))
+@example((6, "reversible", 8791, 8, 2))
+@example((4, "rc", 313, None, 0))
+def test_search_truncation_windows_match_reference(case):
+    """search prints the bytes of a loop of one candidate at a time, for
+    every --max-configs window, with or without a --cap."""
+    n, require, budget, cap, min_distance = case
+    argv = ["search", "--n", str(n), "--require", require,
+            "--max-configs", str(budget), "--min-distance", str(min_distance)]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert (out.getvalue(), code) == reference_search(n, require, budget, cap,
+                                                      min_distance)
 
 
 def test_cmd_search_truncation_flag(capsys):

@@ -382,12 +382,13 @@ def test_torsion_matches_every_certified_search_candidate(mode):
     single, double = cli._checkers(mode)
     certified = 0
     for n in (2, 4, 6):
-        for g, p1, p2, a2 in cli._search_candidates(n):
-            verdict = (single(n, g, p1, p2) if a2 is None
-                       else double(n, g, p1, p2, a2))
-            if verdict.satisfied:
-                certified += 1
-                assert_torsion_matches_built_ideal(n, g, p1, p2, a2 or 0)
+        for g, p1, p2, a2s in cli._search_candidates(n):
+            for a2 in a2s:
+                verdict = (single(n, g, p1, p2) if a2 is None
+                           else double(n, g, p1, p2, a2))
+                if verdict.satisfied:
+                    certified += 1
+                    assert_torsion_matches_built_ideal(n, g, p1, p2, a2 or 0)
     assert certified > 1000
 
 

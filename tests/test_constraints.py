@@ -4,7 +4,7 @@ import pytest
 
 from dnacyclic import cli, polyf2
 from dnacyclic.code import CyclicCode
-from dnacyclic.constraints import (Verdict, _with_membership, check_rc_double,
+from dnacyclic.constraints import (Verdict, _not_member, check_rc_double,
                                    check_rc_single, check_reversible_double,
                                    check_reversible_single)
 from dnacyclic.polyr import RingWord, divides_xn_minus_1, u2_all_ones
@@ -12,6 +12,37 @@ from dnacyclic.polyr import RingWord, divides_xn_minus_1, u2_all_ones
 G = polyf2.from_text("x^6+x^4+x^2+1")
 P1 = polyf2.from_text("x^5+x")
 P2 = polyf2.from_text("x^4+x^2")
+
+
+# The rc checkers' former membership path, kept as the reference they
+# are compared against: all four folds on every call, no cached half.
+def _u2_all_ones_member(n, g, p1, p2, a2):
+    """Whether u^2 (1 + ... + x^(n-1)) is in <g + u p1 + u^2 p2, u^2 a2>.
+
+    Requires g | m = x^n+1.  A codeword (k0 + u k1 + u^2 k2)(g + u p1 +
+    u^2 p2) lies in u^2 R exactly when k0 g = 0 and k0 p1 + k1 g = 0
+    (mod m), so k0 = (m/g) k0' with the syzygy (m/g) k0' p1 = g k1
+    (mod m).  With h = (m/g) p1 and a1 = gcd(g, h) it holds exactly when
+    k0' = (g/a1) k and k1 = (h/a1) k + (m/g) j, and the u^2 layer
+    k0 p2 + k1 p1 + k2 g spans Tor_2 = <a1, (m/a1) p2 + (h/a1) p1>, plus
+    a2 for the second generator.
+
+    Tor_2 is <t2> with t2 | m, and 1 + ... + x^(n-1) = m/(x+1), so only
+    the power of x+1 in t2 decides: m = (x^o + 1)^e with o odd holds x+1
+    exactly e times, and the word is missing exactly when (x+1)^e | t2.
+    (x+1)^e | a1 needs it to divide g, so m/g is prime to x+1, and then
+    p1; then m/a1 is prime to x+1 and (h/a1) p1 is a multiple, so
+    (x+1)^e | t2 holds exactly when it also divides p2 and a2.
+    """
+    e = n & -n  # (x+1)^e = x^e + 1, e the largest power of two dividing n
+    return bool(polyf2.mod_xn1(g, e) or polyf2.mod_xn1(a2, e)
+                or polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e))
+
+
+def _with_membership(verdict, n, g, p1, p2, a2):
+    if not verdict.hypothesis_ok or _u2_all_ones_member(n, g, p1, p2, a2):
+        return verdict
+    return _not_member(verdict)
 
 
 def structural_pairs(n, g):
@@ -491,7 +522,74 @@ def test_rc_verdict_is_reversibility_plus_built_membership(n):
     # missing from the ideal the candidate generates.
     word = u2_all_ones(n)
     missing = 0
-    for g, p1, p2, a2 in cli._search_candidates(n):
+    for g, p1, p2, a2s in cli._search_candidates(n):
+        for a2 in a2s:
+            gens = [RingWord(n, g, p1, p2)]
+            if a2 is None:
+                rev = check_reversible_single(n, g, p1, p2)
+                rc = check_rc_single(n, g, p1, p2)
+            else:
+                gens.append(RingWord(n, 0, 0, a2))
+                rev = check_reversible_double(n, g, p1, p2, a2)
+                rc = check_rc_double(n, g, p1, p2, a2)
+            expected = rev
+            if rev.hypothesis_ok and not CyclicCode.from_generators(n, gens).contains(word):
+                missing += 1
+                notes = "; ".join(filter(None, [rev.notes, "all-u2 word is not a codeword"]))
+                expected = Verdict(False, rev.case, True, notes)
+            assert rc == expected, (g, p1, p2, a2)
+    # At n = 2^k the word is missing only if (x+1)^n divides g, of
+    # degree below n, so only n = 6 reaches the second branch.
+    assert (missing > 0) == (n == 6)
+
+
+def _palindrome(rng, width):
+    """A random polynomial whose coefficients i and width - 1 - i agree."""
+    half = [rng.randrange(2) for _ in range((width + 1) // 2)]
+    bits = half + half[:width // 2][::-1]
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def _layer(rng, r, e4):
+    """A p1 or p2 below degree r: random, a multiple of e4 = x^4+1, equal
+    to its shifted reciprocal in width r+1 (bit_reverse), or both."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(1 << r)
+    if kind == 1:
+        return polyf2.mul(e4, rng.randrange(1 << (r - 4)))
+    if kind == 2:
+        return _palindrome(rng, r - 1) << 1
+    # x^k e4 t, t a palindrome of width m: a palindrome of width
+    # m + 4 + 2k = r + 1.
+    ks = range(1, (r - 4) // 2 + 1)
+    if not ks:
+        return 0
+    k = rng.choice(ks)
+    return polyf2.mul(e4, _palindrome(rng, r - 3 - 2 * k)) << k
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_rc_membership_where_p1_and_p2_decide(n):
+    # At n = 12 and 20, e = 4, and here (x+1)^4 = x^4+1 divides g and
+    # a2 (an absent a2 counts as divisible), so the cached (g, a2) half
+    # leaves the all-u^2 word open and p1 and p2 decide it.  The layers
+    # mix multiples of x^4+1 with palindromes, so that both reversible
+    # and turned-down verdicts occur.
+    rng = random.Random(n)
+    e4 = polyf2.from_text("x^4+1")
+    word = u2_all_ones(n)
+    divisors = polyf2.divisors_of_xn1(n)
+    gs = [g for g in divisors
+          if polyf2.divides(e4, g) and polyf2.degree(g) < n]
+    satisfied = turned_down = 0
+    for _ in range(400):
+        g = rng.choice(gs)
+        r = polyf2.degree(g)
+        a2 = rng.choice([None] + [d for d in divisors if d != g
+                                  and polyf2.divides(e4, d)
+                                  and polyf2.divides(d, g)])
+        p1, p2 = _layer(rng, r, e4), _layer(rng, r, e4)
         gens = [RingWord(n, g, p1, p2)]
         if a2 is None:
             rev = check_reversible_single(n, g, p1, p2)
@@ -500,12 +598,12 @@ def test_rc_verdict_is_reversibility_plus_built_membership(n):
             gens.append(RingWord(n, 0, 0, a2))
             rev = check_reversible_double(n, g, p1, p2, a2)
             rc = check_rc_double(n, g, p1, p2, a2)
-        expected = rev
-        if rev.hypothesis_ok and not CyclicCode.from_generators(n, gens).contains(word):
-            missing += 1
-            notes = "; ".join(filter(None, [rev.notes, "all-u2 word is not a codeword"]))
-            expected = Verdict(False, rev.case, True, notes)
-        assert rc == expected, (g, p1, p2, a2)
-    # At n = 2^k the word is missing only if (x+1)^n divides g, of
-    # degree below n, so only n = 6 reaches the second branch.
-    assert (missing > 0) == (n == 6)
+        assert rc == _with_membership(rev, n, g, p1, p2, a2 or 0), (
+            g, p1, p2, a2)
+        member = CyclicCode.from_generators(n, gens).contains(word)
+        assert member == _u2_all_ones_member(n, g, p1, p2, a2 or 0)
+        if rc.satisfied:
+            assert member
+        satisfied += rc.satisfied
+        turned_down += rev.satisfied and not rc.satisfied
+    assert satisfied > 20 and turned_down > 20, (satisfied, turned_down)

@@ -432,3 +432,32 @@ def test_grown_codes_leave_their_generators_unbuilt():
         assert not isinstance(e._generators, tuple)
         assert CyclicCode.from_generators(n, e.generators) == e
         assert isinstance(e._generators, tuple)
+
+
+def test_sum_joins_its_operands_generators_when_read():
+    # A sum keeps its operands' generator sources, not the operands: a
+    # dual's generators and an intersection's rows stay unbuilt until
+    # the sum's generators are read, and even then the operands keep
+    # neither.
+    n = 64
+
+    def operands():
+        c = CyclicCode.from_generators(
+            n, [RingWord.from_poly_text(n, "x^32+1;x^3+x;x^7+1")])
+        d = CyclicCode.from_generators(
+            n, [RingWord.from_poly_text(n, "0;x^16+1;x^5")])
+        return {"words": c, "dual": dual_code(c, "hermitian"),
+                "rows": c.intersect_with(d)}
+
+    for left, right in itertools.product(["words", "dual", "rows"], repeat=2):
+        ops = operands()
+        a, b = ops[left], ops[right]
+        s = a.sum_with(b)
+        dual, rows = ops["dual"], ops["rows"]
+        assert not isinstance(dual._generators, tuple)
+        assert rows._generators is None and rows._rows is None
+        gens = s.generators
+        assert not isinstance(dual._generators, tuple)
+        assert rows._generators is None and rows._rows is None
+        assert gens == a.generators + b.generators
+        assert CyclicCode.from_generators(n, gens) == s
