@@ -601,6 +601,36 @@ def test_dual_stdout_is_pinned_at_the_length_bound(capsys, flavor, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+# Codes of dimension 24, at the default cap, whose distance is 2: the
+# first two are walked from the socle's dual, and the third socle ties
+# with its dual (k = n - k = 24) and stops at its first word of weight 2.
+# A walk of every socle word would visit 2^24 words for each.
+@pytest.mark.parametrize("spec, sha1", [
+    ('{"n":32,"generators":[{"u2":"x^8+1"}]}',
+     "a9ce24c26ee6366f30ec096f7b52465fbe70b8e8"),
+    ('{"n":30,"generators":[{"u2":"x^6+1"}]}',
+     "fd03e58381eef6e43ca25c813d5a7c23dcf12c38"),
+    ('{"n":48,"generators":[{"u2":"x^24+1"}]}',
+     "972941e51e5d3d9a47a4f21fe78c0b91248ba93c"),
+])
+def test_distance_stdout_is_pinned_for_large_socles(capsys, spec, sha1):
+    code, out, _ = run(capsys, ["distance", "--spec", spec])
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_distance_keeps_the_cap_and_the_zero_code(capsys):
+    # The cap still applies to the whole code's dimension, 24 here.
+    spec = '{"n":32,"generators":[{"u2":"x^8+1"}]}'
+    code, out, err = run(capsys, ["distance", "--spec", spec, "--cap", "23"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "cap exceeded"
+    code, out, _ = run(capsys, ["distance", "--spec", ZERO_SPEC])
+    assert code == 0
+    assert '"min_distance": null' in out
+
+
 def test_search_calls_the_module_checkers(capsys, monkeypatch):
     """search calls the constraints checkers as they stand when it runs.
 

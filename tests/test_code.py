@@ -705,6 +705,77 @@ def test_code_identity_is_its_lowest_rows(case):
         assert c.min_hamming_distance(cap=3 * n) == socle_distance(socle)
 
 
+def socle_code(n, t2):
+    return CyclicCode.from_generators(n, [RingWord(n, 0, 0, t2)])
+
+
+def walked_distance(n, t2):
+    """The socle <t2>'s distance by walking every word of it."""
+    return socle_distance([t2 << i for i in range(n + 1 - t2.bit_length())])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_min_distance_matches_walk_on_every_socle(n):
+    # Every proper divisor t2 of x^n + 1, so that both the socle (k <=
+    # n - k) and its dual (k > n - k) are walked at every length.
+    for t2 in polyf2.divisors_of_xn1(n)[:-1]:
+        assert socle_code(n, t2).min_hamming_distance() == walked_distance(n, t2)
+
+
+# (n, t2, distance), with k = n - deg t2: t2 = 1 (the whole space), the
+# repetition code (deg t2 = n - 1), socles that tie with their dual (k =
+# n - k), the [7, 4, 3] Hamming and [23, 12, 7] Golay codes (walked from
+# the dual), and n = 21 on both sides of k = n - k.
+@pytest.mark.parametrize("n, t2, distance", [
+    (1, "1", 1), (2, "1", 1), (16, "1", 1),
+    (2, "x+1", 2), (5, "x^4+x^3+x^2+x+1", 5),
+    (16, "x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1",
+     16),
+    (8, "x^4+1", 2), (12, "x^6+x^5+x^3+x+1", 3),
+    (14, "x^7+x^6+x^3+x^2+x+1", 4), (24, "x^12+x^10+x^6+x^2+1", 3),
+    (7, "x^3+x+1", 3), (23, "x^11+x^10+x^6+x^5+x^4+x^2+1", 7),
+    (21, "x^6+x^4+x+1", 4), (21, "x^9+x^8+x^5+x^4+x^2+x+1", 5),
+    (21, "x^10+x^7+x^6+x^4+x^2+1", 6), (21, "x^11+x^8+x^7+x^2+1", 5),
+    (21, "x^12+x^11+x^9+x^7+x^3+x^2+x+1", 8),
+    (21, "x^20+x^19+x^18+x^17+x^16+x^15+x^14+x^13+x^12+x^11+x^10+x^9+x^8"
+         "+x^7+x^6+x^5+x^4+x^3+x^2+x+1", 21),
+])
+def test_min_distance_examples(n, t2, distance):
+    t2 = polyf2.from_text(t2)
+    assert polyf2.divides(t2, polyf2.xn1(n))
+    assert socle_code(n, t2).min_hamming_distance(cap=3 * n) == distance
+    assert walked_distance(n, t2) == distance
+
+
+@st.composite
+def codes_with_small_socles(draw):
+    """(n, generators) at n <= 24 inside <d> for a proper divisor d of
+    x^n + 1 of degree at least n - 16, from 1-3 generators u^j d f: the
+    socle, inside u^2 <d>, has at most 2^16 words.
+    """
+    n = draw(st.integers(1, 24))
+    d = draw(st.sampled_from([d for d in polyf2.divisors_of_xn1(n)[:-1]
+                              if polyf2.degree(d) >= n - 16]))
+    m = polyf2.xn1(n)
+    layer = st.integers(0, (1 << n) - 1).map(
+        lambda f: polyf2.mod(polyf2.mul(d, f), m))
+    gens = draw(st.lists(st.tuples(st.integers(0, 2), layer, layer, layer),
+                         min_size=1, max_size=3))
+    return n, [RingWord(n, *([0] * j + layers[:3 - j]))
+               for j, *layers in gens]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(codes_with_small_socles())
+@example((7, [RingWord(7, 0b1011, 0b1, 0)]))
+@example((21, [RingWord.from_poly_text(21, "x^6+x^4+x+1;0;0")]))
+def test_min_distance_matches_walk_of_the_socle_rows(case):
+    n, gens = case
+    c = CyclicCode.from_generators(n, gens)
+    socle = [r for r in c.rows if r.bit_length() <= n]
+    assert c.min_hamming_distance(cap=3 * n) == socle_distance(socle)
+
+
 def zassenhaus_rows(a, b):
     """The RREF of C1 ∩ C2: rref of the double block (c1 | c1), (c2 | 0),
     keeping the rows whose top block is zero."""
