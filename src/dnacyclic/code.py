@@ -62,17 +62,16 @@ exactly when those at most three rows' reversals reduce to zero;
 complement is translation by the all-u^2 word, so closure under it is
 membership of that word; and the minimum Hamming distance equals that
 of the u^2-subcode (the socle), the binary cyclic code generated by
-layer 2's lowest row: the smaller of the socle and its dual is walked,
-at most 2^(n/2) words, and a walk of the dual gives the distance by the
-MacWilliams identity.  Enumeration, distance and closure are guarded by
-a configurable dimension cap.
+layer 2's lowest row t2, whose at most 2^n words are walked from t2's
+shifts until the first word of weight 2 (weight 1 only when t2 = 1).
+Enumeration, distance and closure are guarded by a configurable
+dimension cap.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import polyf2
@@ -258,29 +257,6 @@ def gray_walk(rows):
     for k in range(1, 1 << len(rows)):
         v ^= rows[(k & -k).bit_length() - 1]
         yield v
-
-
-def _macwilliams_distance(n, counts):
-    """The least i > 1 with sum_j B_j K_i(j) > 0, for B_j = counts[j].
-
-    For B the weight distribution of a binary code of length n and size
-    2^r, that sum is 2^r times the number of weight-i words of its dual
-    (MacWilliams, Bell Syst. Tech. J. 42, 1963), so this is the dual's
-    minimum distance when the dual has no word of weight 1; None if no
-    i <= n has a positive sum.  The Krawtchouk values
-    K_i(j) = sum_s (-1)^s C(j, s) C(n - j, i - s) are exact integers from
-    K_0 = 1, K_1(j) = n - 2j and
-    i K_i(j) = (n - 2j) K_{i-1}(j) - (n - i + 2) K_{i-2}(j).
-    """
-    lin = [n - 2 * j for j, b in enumerate(counts) if b]
-    sizes = [b for b in counts if b]
-    prev, cur = [1] * len(lin), lin
-    for i in range(2, n + 1):
-        prev, cur = cur, [(a * k - (n - i + 2) * p) // i
-                          for a, k, p in zip(lin, cur, prev)]
-        if sum(map(operator.mul, sizes, cur)) > 0:
-            return i
-    return None
 
 
 def _torsion(n, g, p1, p2):
@@ -509,20 +485,12 @@ class CyclicCode:
         nonzero codeword c with u^k c the last nonzero power, u^k c is a
         u^2-only codeword supported inside c, so the minimum is taken
         over the u^2-subcode alone (Norton and Salagean, 2000).  That is
-        the binary cyclic code <t2> with t2 layer 2's torsion generator,
-        of dimension k = n - deg t2, and the smaller of it and its dual
-        is walked.  When t2 = 1 the code is all of GF(2)^n and the
-        distance is 1.  Otherwise <t2> is a proper ideal of
-        GF(2)[x]/(x^n + 1), and a word of weight 1, x^i, is a unit there
-        (x^n = 1), so <t2> has none: a walk of <t2> (when k <= n - k)
-        stops at its first word of weight 2.  When k > n - k the dual's
-        weight distribution B is walked instead, over its 2^(n - k)
-        words, and the MacWilliams identity (Bell Syst. Tech. J. 42,
-        1963) gives the socle's as A_i = 2^-(n - k) sum_j B_j K_i(j),
-        with K_i the Krawtchouk polynomials in exact integers; the
-        distance is the least i > 0 with A_i > 0, and A_1 = 0 by the
-        same unit argument.  The cap is checked against the whole
-        code's dimension, not the socle's.
+        the binary cyclic code <t2> with t2 layer 2's torsion generator.
+        When t2 = 1 the code is all of GF(2)^n and the distance is 1.
+        Otherwise <t2> is a proper ideal of GF(2)[x]/(x^n + 1), and a
+        word of weight 1, x^i, is a unit there (x^n = 1), so <t2> has
+        none and the walk stops at its first word of weight 2.  The cap
+        is checked against the whole code's dimension, not the socle's.
         """
         t2 = self.lows[2]
         if not t2:  # a nonzero code has a nonzero u^2-subcode
@@ -530,25 +498,16 @@ class CyclicCode:
         self.check_cap(cap)
         if t2 == 1:
             return 1
-        # <t2> is spanned by the shifts x^i t2, i < k.  Its dual is
-        # generated by the reciprocal of h = (x^n + 1) / t2, so <h>,
-        # spanned by x^i h for i < deg t2, is the dual with its
-        # coordinates reversed and has the dual's weight distribution.
-        n, r = self.n, t2.bit_length() - 1
-        if n - r <= r:
-            best = n + 1
-            for v in gray_walk([t2 << i for i in range(n - r)]):
-                w = v.bit_count()
-                if 0 < w < best:
-                    best = w
-                    if best == 2:  # no word of weight 1, as t2 != 1
-                        break
-            return best
-        h = polyf2.divrem(polyf2.xn1(n), t2)[0]
-        counts = [0] * (n + 1)
-        for v in gray_walk([h << i for i in range(r)]):
-            counts[v.bit_count()] += 1
-        return _macwilliams_distance(n, counts)  # no weight 1, as t2 != 1
+        # The u^2-subcode is u^2 <t2>: its words are the multiples of t2
+        # of degree below n, spanned by t2's shifts x^k t2, k < n - deg t2.
+        best = self.n + 1
+        for v in gray_walk([t2 << k for k in range(self.n + 1 - t2.bit_length())]):
+            w = v.bit_count()
+            if 0 < w < best:
+                best = w
+                if best == 2:  # no word of weight 1, as t2 != 1
+                    break
+        return best
 
     def is_reversible(self, cap=None):
         """Whether the reversal of every codeword is a codeword.

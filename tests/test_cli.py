@@ -601,10 +601,9 @@ def test_dual_stdout_is_pinned_at_the_length_bound(capsys, flavor, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
-# Codes of dimension 24, at the default cap, whose distance is 2: the
-# first two are walked from the socle's dual, and the third socle ties
-# with its dual (k = n - k = 24) and stops at its first word of weight 2.
-# A walk of every socle word would visit 2^24 words for each.
+# Codes of dimension 24, at the default cap, whose distance is 2: each
+# walk stops at its first word of weight 2, where a walk of every socle
+# word would visit 2^24 words.
 @pytest.mark.parametrize("spec, sha1", [
     ('{"n":32,"generators":[{"u2":"x^8+1"}]}',
      "a9ce24c26ee6366f30ec096f7b52465fbe70b8e8"),

@@ -716,16 +716,15 @@ def walked_distance(n, t2):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_min_distance_matches_walk_on_every_socle(n):
-    # Every proper divisor t2 of x^n + 1, so that both the socle (k <=
-    # n - k) and its dual (k > n - k) are walked at every length.
+    # Every proper divisor t2 of x^n + 1: socles that stop at weight 2
+    # and socles walked to the end, at every length.
     for t2 in polyf2.divisors_of_xn1(n)[:-1]:
         assert socle_code(n, t2).min_hamming_distance() == walked_distance(n, t2)
 
 
 # (n, t2, distance), with k = n - deg t2: t2 = 1 (the whole space), the
-# repetition code (deg t2 = n - 1), socles that tie with their dual (k =
-# n - k), the [7, 4, 3] Hamming and [23, 12, 7] Golay codes (walked from
-# the dual), and n = 21 on both sides of k = n - k.
+# repetition code (deg t2 = n - 1), socles with k = n - k, the [7, 4, 3]
+# Hamming and [23, 12, 7] Golay codes, and six socles at n = 21.
 @pytest.mark.parametrize("n, t2, distance", [
     (1, "1", 1), (2, "1", 1), (16, "1", 1),
     (2, "x+1", 2), (5, "x^4+x^3+x^2+x+1", 5),
