@@ -30,7 +30,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import constraints, dual, polyf2, polyr, ring
 from .code import CyclicCode, DEFAULT_ENUM_CAP, gray_walk, pack
@@ -111,7 +110,8 @@ def reference_catalog():
 def _load_spec(text):
     raw = text.strip()
     if not raw.startswith("{"):
-        raw = Path(raw).read_text(encoding="utf-8")
+        with open(raw, encoding="utf-8") as f:
+            raw = f.read()
     try:
         spec = json.loads(raw)
     except RecursionError:

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import polyf2
 from .polyf2 import CapExceeded
@@ -287,22 +287,16 @@ def _presented_dim(n, g, p1, p2, a2):
             - polyf2.degree(polyf2.gcd(t, a2)))
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Structure-theorem generator data (unused fields are zero per case).
+class Presentation(namedtuple("Presentation", "case g p1 p2 a1 q a2")):
+    """Structure-theorem generator data: case (int, 1-3) and six packed
+    GF(2) polynomials (int), the fields a case does not use being zero.
 
     case 1: <g + u p1 + u^2 p2>
     case 2: <g + u p1 + u^2 p2, u^2 a2>
     case 3: <g + u p1 + u^2 p2, u a1 + u^2 q, u^2 a2>
     """
 
-    case: int
-    g: int
-    p1: int
-    p2: int
-    a1: int
-    q: int
-    a2: int
+    __slots__ = ()
 
     def generator_words(self, n):
         """The generating words of the presentation (zero words omitted)."""

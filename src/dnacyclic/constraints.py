@@ -56,26 +56,22 @@ modulo x^e + 1 per candidate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import polyf2
 from .polyf2 import bit_reverse
 
 
-@dataclass(frozen=True)
-class Verdict:
-    satisfied: bool
-    case: str  # "A" or "C" for one generator, "A" or "B" for two, else "NONE"
-    hypothesis_ok: bool
-    notes: str = ""
+class Verdict(namedtuple("Verdict", "satisfied case hypothesis_ok notes",
+                         defaults=("",))):
+    """A checker's answer: satisfied and hypothesis_ok (bool), case (str:
+    "A" or "C" for one generator, "A" or "B" for two, else "NONE") and
+    notes (str, "" when there is nothing to report)."""
+
+    __slots__ = ()
 
     def to_json(self):
-        return {
-            "satisfied": self.satisfied,
-            "case": self.case,
-            "hypothesis_ok": self.hypothesis_ok,
-            "notes": self.notes,
-        }
+        return self._asdict()
 
 
 def _degree_hypothesis(g, p1, p2):

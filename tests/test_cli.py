@@ -233,6 +233,22 @@ def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
         assert json.loads(line)["error"] == "input error"
 
 
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_spec_file_is_an_input_error(tmp_path, capsys, kind):
+    # The reader's own error text is the detail of the one stderr line.
+    if kind == "directory":
+        path = tmp_path
+        detail = f"[Errno 21] Is a directory: '{path}'"
+    else:
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff{}")
+        detail = ("'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte")
+    code, out, err = run(capsys, ["distance", "--spec", str(path)])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": "input error", "detail": detail}) + "\n"
+
+
 # Non-ASCII digits: Arabic-Indic 3, fullwidth 3, superscript 3 and
 # Devanagari 2.  int() takes all but the superscript; the polynomial
 # parser takes none.

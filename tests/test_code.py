@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from dnacyclic import cli, polyf2, ring
 from dnacyclic.code import (CyclicCode, DEFAULT_ENUM_CAP, Presentation,
                             _presented_dim, _torsion, pack, rref, unpack)
+from dnacyclic.constraints import Verdict, check_rc_single
 from dnacyclic.polyf2 import CapExceeded
 from dnacyclic.polyr import RingWord, u2_all_ones
 
@@ -844,3 +847,47 @@ def test_intersection_at_the_length_bound():
     assert (a.dim, b.dim, i.dim) == (2044, 2552, 1782)
     assert i.rows == zassenhaus_rows(a, b)
     assert i.generators == tuple(unpack(n, r) for r in i.rows)
+
+
+@pytest.mark.parametrize("cls, fields, text, as_json", [
+    (Verdict,
+     {"satisfied": False, "case": "NONE", "hypothesis_ok": True,
+      "notes": "no shifted-reciprocal case matches"},
+     "Verdict(satisfied=False, case='NONE', hypothesis_ok=True, "
+     "notes='no shifted-reciprocal case matches')",
+     {"satisfied": False, "case": "NONE", "hypothesis_ok": True,
+      "notes": "no shifted-reciprocal case matches"}),
+    (Presentation,
+     {"case": 3, "g": 5, "p1": 1, "p2": 0, "a1": 3, "q": 1, "a2": 1},
+     "Presentation(case=3, g=5, p1=1, p2=0, a1=3, q=1, a2=1)",
+     {"case": 3, "g": "x^2+1", "p1": "1", "p2": "0", "a1": "x+1", "q": "1",
+      "a2": "1"}),
+], ids=["Verdict", "Presentation"])
+def test_record_contract(cls, fields, text, as_json):
+    # What callers see of the two result records: construction, repr,
+    # value equality and hashing, immutability, JSON form and pickling.
+    record = cls(*fields.values())
+    assert cls(**fields) == record
+    assert repr(record) == text
+    assert hash(cls(**fields)) == hash(record)
+    assert record.to_json() == as_json
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+    @functools.lru_cache(maxsize=None)
+    def key(r):
+        return object()
+    assert key(record) is key(cls(**fields))
+
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+
+
+def test_verdict_notes_default_to_empty():
+    assert Verdict(True, "A", True) == Verdict(True, "A", True, "")
+    assert Verdict(True, "A", True).notes == ""
+    # The repr README shows for the reference code.
+    assert repr(check_rc_single(8, G, P1, P2)) == (
+        "Verdict(satisfied=True, case='A', hypothesis_ok=True, notes='')")

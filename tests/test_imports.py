@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dnacyclic
@@ -17,3 +20,16 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{path.name}: {node.module}.{alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_cli_import_graph_is_light():
+    # -S keeps site (and any .pth file) from preloading modules, so the
+    # difference is what importing the CLI itself loads.
+    probe = ("import sys; before = set(sys.modules); import dnacyclic.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                            capture_output=True, text=True, env=env)
+    new = set(result.stdout.split())
+    assert "dnacyclic.cli" in new
+    assert new & {"dataclasses", "inspect", "pathlib"} == set()
