@@ -13,12 +13,12 @@ quantity deterministic.
 
 Multiplication by x rotates each n-bit layer of the packed integer by
 one place, and every span the package builds is closed under x: a code,
-a sum or intersection of codes, a dual and the span of a dual's parity
-masks.  One routine, _x_span_lows, builds each of them as the x-closure
-of a few seed rows; for the intersection those are both codes' lowest
-rows in the Zassenhaus double block, a 6n-bit vector whose two halves x
-rotates alike.  The routine keeps a plain echelon form, reducing each
-inserted vector by leading bits only.
+a sum or intersection of codes, and a dual.  One routine, _x_span_lows,
+builds each of them as the x-closure of a few seed rows; for the
+intersection those are both codes' lowest rows in the Zassenhaus double
+block, a 6n-bit vector whose two halves x rotates alike.  The routine
+keeps a plain echelon form, reducing each inserted vector by leading
+bits only.
 The span built from earlier seeds is closed under x, so a seed's chain
 x^i * v stops at the first shift already in the span: every later shift
 lies in it too.  A chain rotates the stored remainder of its last shift,
@@ -356,13 +356,15 @@ class CyclicCode:
         return c
 
     @classmethod
-    def from_span(cls, n, vectors, generators=()):
-        """The code spanned over GF(2) by the x-closure of packed vectors.
+    def from_span(cls, n, vectors, generators=None):
+        """The code spanned over GF(2) by the x-closure of packed vectors,
+        which must be closed under u.
 
-        generators are its generating words, or a function of no
-        arguments that returns them when they are first read.
+        generators are its generating words, a function of no arguments
+        that returns them when they are first read, or None: then the
+        basis rows, as words, are the generators.
         """
-        if not callable(generators):
+        if generators is not None and not callable(generators):
             generators = tuple(generators)
         return cls._of_lows(n, _x_span_lows(n, vectors), generators)
 

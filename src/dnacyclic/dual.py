@@ -16,25 +16,23 @@ code is an ideal, hence closed under u; so the u^2-layer equations
 against the basis rows already imply the other two layers.  The
 solution space is the dual ideal itself, since the orthogonal space of
 an ideal and the Hermitian extra equation are both invariant under x
-and u.  A row's equation mask is the row with its outer layers swapped,
-which commutes with x, so the masks span the x-closure of the code's
-at most three lowest rows, swapped, plus the Hermitian mask; those at
-most four masks seed the equations' span (see the code module).  The
-kernel is closed under x as well: it has one vector per free column in
-ascending column order.  Each layer's top free column gets its vector
-from one pass over the equations' rows as they are rotated out of the
-span's lowest rows, and those at most three top vectors seed the dual
-code.  The rest of the kernel, each lower column's vector being the one
-above it times x^-1, is read only for the dual's generators, which are
-built when first read.
+and u.  A row's equation is parity(v & swap(b)) = 0, with swap
+exchanging the outer layers; that is parity(swap(v) & b) = 0, so the
+dual is swap(K) for K the plain GF(2) kernel of the code's own basis
+rows, plus, for the Hermitian flavor, the all-u^2 word, which the swap
+takes to the Hermitian equation.  That word joins the code's lowest
+rows as one reduced row.  K is closed under x, whose adjoint is x^-1:
+it has one vector per free column of the rows' RREF, and each layer's
+top free column gets its vector from one pass over the rows as they are
+rotated out of the lowest rows, with no row kept.  Those at most three
+top vectors, swapped, seed the dual code: one x-closure per dual.  The
+dual's generators are its basis rows as words, built when first read.
 dual_brute filters every word of R^n by definitional inner products
 against every codeword and exists solely as an independent oracle for
 small n.
 """
 
 from __future__ import annotations
-
-import functools
 
 from . import polyf2
 from .code import CyclicCode, rows_from_lows, unpack
@@ -64,101 +62,74 @@ def inner_hermitian(x, y):
     return inner_euclidean(x, y.complement())
 
 
-def _orthogonality_masks(c, flavor):
-    """Parity-equation masks whose x-closure is every equation on a word.
+def _kernel_tops(c, flavor):
+    """Each layer's top free-column vector of K, u^2 block first.
 
-    A packed unknown v satisfies every mask m of that closure with
-    parity(v & m) = 0 exactly when it is orthogonal (in the requested
-    flavor) to every codeword of c.  A codeword's mask is the codeword
-    with its unit and u^2 layer blocks swapped: parity(v & mask) is the
-    u^2 layer of <v, codeword>.  The swap commutes with x, so the masks
-    of c's nonzero lowest rows x-generate those of all its codewords.
+    K is the plain GF(2) orthogonal complement of c's basis rows, plus,
+    for the Hermitian flavor, the all-u^2 word.  It has one vector per
+    free (non-pivot) column of their RREF: the column's bit plus the
+    pivot of each row with a bit in that column.  The free columns of
+    each layer are the bits below its lowest pivot, so each layer's top
+    one's vector comes from one pass over the rows as they are rotated
+    out of the lows; no row is kept.
+
+    The all-u^2 word J joins as one row.  Reduced by the u^2-layer rows
+    it is z = J mod t2, with t2 layer 2's lowest row (J itself for the
+    zero code, where t2 = 0).  z is 0 when c holds J; otherwise its
+    pivot lies below t2's and it becomes layer 2's lowest row.  Its
+    other bits lie below every pivot, so adding it to each upper lowest
+    row with a bit at that pivot reduces the lows again.  J is fixed by
+    x, so the extended span stays x-closed.
     """
     n = c.n
-    mask = (1 << n) - 1
-    masks = [(b & mask) << 2 * n | (b >> n & mask) << n | b >> 2 * n
-             for b in c.lows if b]
+    l0, l1, l2 = c.lows
     if flavor == "hermitian":
-        # The u^2 * (coordinate sum) term: the unit layer has even weight.
-        masks.append(mask << 2 * n)
-    return masks
-
-
-def _kernel_tops(n, masks):
-    """[column, vector] of each layer's top free column, u^2 block first.
-
-    The solution space of the x-closure of the parity masks has one
-    vector per free (non-pivot) column of the equations' RREF: the
-    column's bit plus the pivot of each row with a bit in that column.
-    The free columns of each layer are the bits below its lowest pivot,
-    which its lowest row gives, so the top one's vector comes from one
-    pass over the rows as they are rotated out of the lows; no row is
-    kept.
-    """
-    lows = CyclicCode.from_span(n, masks).lows
+        ones = polyf2.all_ones(n)
+        z = polyf2.mod(ones, l2) if l2 else ones
+        if z:
+            pivot = 1 << z.bit_length() - 1
+            if l0 & pivot:
+                l0 ^= z
+            if l1 & pivot:
+                l1 ^= z
+            l2 = z
+    lows = (l0, l1, l2)
     tops = []
+    columns = 0
     for block in range(3):
         low = lows[2 - block]
         f = low.bit_length() - 2 if low else (block + 1) * n - 1
         if f >= block * n:
             tops.append([f, 1 << f])
-    if tops:
+            columns |= 1 << f
+    if columns:
         for r in rows_from_lows(n, lows):
-            for top in tops:
-                if r >> top[0] & 1:
-                    top[1] |= 1 << r.bit_length() - 1
-    return tops
-
-
-def _kernel_below(n, tops):
-    """The kernel basis from its top vectors, in ascending column order.
-
-    The equations are closed under x, and x permutes the bits with x^-1
-    as its adjoint, so the solutions are closed under x and x^-1 too.
-    Each lower free column's vector is the one above it times x^-1,
-    which moves that column's bit down by one, wraps no free bit and
-    sets at most one other free bit per layer: the top free column,
-    from the layer's lowest pivot.  Adding those columns' vectors clears
-    them.
-    """
-    bottoms = 1 | 1 << n | 1 << 2 * n
-    kernel = []
-    for f, v in tops:
-        column = [v]
-        for _ in range(f % n):
-            t = v & bottoms
-            v = (v ^ t) >> 1 | t << n - 1
-            for g, top in tops:
-                if v >> g & 1:
-                    v ^= top
-            column.append(v)
-        column.reverse()
-        kernel += column
-    return kernel
-
-
-def _kernel(n, masks):
-    """Basis of the solution space of the x-closure of the parity masks,
-    one vector per free column in ascending column order."""
-    return _kernel_below(n, _kernel_tops(n, masks))
-
-
-def _kernel_words(n, tops):
-    """The kernel basis from its top vectors, as words."""
-    return [unpack(n, v) for v in _kernel_below(n, tops)]
+            if r & columns:
+                for top in tops:
+                    if r >> top[0] & 1:
+                        top[1] |= 1 << r.bit_length() - 1
+    return [v for _, v in tops]
 
 
 def dual_code(c, flavor="euclidean"):
-    """The dual code by the kernel method.
+    """The dual code, grown from the swapped top vectors of K.
 
-    The kernel's top vectors seed the dual; its generators, the whole
-    kernel basis as words, are built when first read.
+    parity(v & swap(b)) = parity(swap(v) & b), so the dual is swap(K),
+    with K as _kernel_tops reads it.  x permutes the bits with x^-1 as
+    its adjoint, so K is closed under x and x^-1.  A lower free column's
+    vector is the one above it times x^-1 plus, at most, the top vectors
+    whose columns that sets, so the top vectors x-generate K, and their
+    swaps, the swap commuting with x, x-generate the dual.  Its
+    generators are its basis rows as words, built when first read.
     """
     _check_flavor(flavor)
     n = c.n
-    tops = _kernel_tops(n, _orthogonality_masks(c, flavor))
-    return CyclicCode.from_span(n, [v for _, v in tops],
-                                functools.partial(_kernel_words, n, tops))
+    mask = (1 << n) - 1
+    # The swapped top of K's unit layer lies in the dual's u^2 layer, so
+    # it goes first.
+    seeds = [(v & mask) << 2 * n | (v >> n & mask) << n | v >> 2 * n
+             for v in reversed(_kernel_tops(c, flavor))]
+    return CyclicCode.from_span(n, seeds)
 
 
 def dual_brute(c, flavor="euclidean"):

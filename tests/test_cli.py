@@ -617,6 +617,25 @@ def test_dual_stdout_is_pinned_at_the_length_bound(capsys, flavor, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+# An odd length just under the bound: x^1023 + 1 has no repeated
+# factor, and the report carries no presentation claims.
+ODD_LONG_SPEC = json.dumps({
+    "n": 1023,
+    "generators": [{"f2": "x^341+1", "u": "x^3+x", "u2": "x^7+1"}],
+})
+
+
+@pytest.mark.parametrize("flavor, sha1", [
+    ("hermitian", "9ba057f680c9b86b85e8260537816487bca2aaa6"),
+    ("euclidean", "6f668a429be73ad509925e7343642225987a742e"),
+])
+def test_dual_stdout_is_pinned_at_odd_length(capsys, flavor, sha1):
+    code, out, _ = run(capsys,
+                       ["dual", "--spec", ODD_LONG_SPEC, "--flavor", flavor])
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 # Codes of dimension 24, at the default cap, whose distance is 2: each
 # walk stops at its first word of weight 2, where a walk of every socle
 # word would visit 2^24 words.

@@ -832,6 +832,19 @@ def test_grown_codes_read_their_rows_as_generators(case, rows_first):
         assert c.generators == tuple(unpack(n, r) for r in c.rows)
 
 
+@pytest.mark.parametrize("rows_first", [False, True])
+def test_span_without_generators_reads_its_rows_as_generators(rows_first):
+    # The seeds 1, u and u^2 x-generate the whole ideal R^4; with no
+    # generators given, its basis rows as words generate it again.
+    v = pack(RingWord(4, 1))
+    c = CyclicCode.from_span(4, [v >> 8, v >> 4, v])
+    if rows_first:
+        assert len(c.rows) == 12
+    assert c.dim == 12
+    assert c.generators == tuple(unpack(4, r) for r in c.rows)
+    assert CyclicCode.from_generators(4, c.generators) == c
+
+
 def test_intersection_at_the_length_bound():
     # At n = 1024 the intersection grows from the operands' lows alone,
     # so neither operand's rows are built, and it still equals the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
 from dnacyclic.code import CyclicCode, Presentation, rref, unpack
-from dnacyclic.dual import (FLAVORS, _kernel, _orthogonality_masks,
+from dnacyclic.dual import (FLAVORS, _kernel_tops,
                             check_dual_reversibility_equivalence, dual_brute,
                             dual_code, inner_euclidean, inner_hermitian,
                             verify_dual_divisibility)
@@ -122,8 +122,8 @@ def test_dual_matches_brute():
 
 
 def three_equation_dual(c, flavor):
-    """Rows and generators of the dual, solved with all three layer
-    equations per basis row and a column-scan kernel."""
+    """RREF rows of the dual, solved with all three layer equations per
+    basis row and a column-scan kernel."""
     n = c.n
     mask = (1 << n) - 1
     masks = []
@@ -146,7 +146,20 @@ def three_equation_dual(c, flavor):
             if (r >> col) & 1:
                 v |= 1 << p
         kernel.append(v)
-    return rref(kernel), tuple(unpack(n, v) for v in kernel)
+    return rref(kernel)
+
+
+# Codes whose u-layer (first) or unit-layer (second) lowest row has a
+# bit at the pivot of the reduced all-u^2 row, which itself has the bit
+# just below that pivot, the top free column of the u^2 layer: the
+# Hermitian kernel is wrong unless that lowest row is cleared there.
+UPPER_LOWS_AT_THE_HERMITIAN_PIVOT = [
+    (14, [RingWord.from_poly_text(14, "0;x^5+x^2+x+1;x^4+x^3+x^2+x"),
+          RingWord.from_poly_text(14, "0;0;x^5+x^2+x+1")]),
+    (14, [RingWord.from_poly_text(14, "x^5+x^2+x+1;0;x^4+x^3+x+1"),
+          RingWord.from_poly_text(14, "0;x^5+x^2+x+1;0"),
+          RingWord.from_poly_text(14, "0;0;x^5+x^2+x+1")]),
+]
 
 
 @st.composite
@@ -182,36 +195,23 @@ def dual_inputs(draw):
 @example((6, [RingWord.from_polys(6, 0, 0, polyf2.from_text("x^2+1")),
               u2_all_ones(6)]))
 @example((8, [RingWord.from_poly_text(8, "x^6+x^4+x^2+1;x^5+x;x^4+x^2")]))
+@example(UPPER_LOWS_AT_THE_HERMITIAN_PIVOT[0])
+@example(UPPER_LOWS_AT_THE_HERMITIAN_PIVOT[1])
 def test_dual_matches_three_equation_reference(case):
     # One u^2-layer equation per basis row spans the same equations as
-    # the three layer equations, so the kernel basis is the same too.
+    # the three layer equations, so the dual's basis is the same too.
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
     for flavor in ("euclidean", "hermitian"):
-        d = dual_code(c, flavor)
-        assert (d.rows, d.generators) == three_equation_dual(c, flavor)
+        assert dual_code(c, flavor).rows == three_equation_dual(c, flavor)
 
 
-def row_masks(c, flavor):
-    """The u^2-layer equation mask of every basis row, as
-    three_equation_dual builds it, plus the Hermitian mask."""
-    n = c.n
-    mask = (1 << n) - 1
-    masks = []
-    for b in c.rows:
-        g1, g2, g3 = b >> 2 * n, (b >> n) & mask, b & mask
-        masks.append(g3 << 2 * n | g2 << n | g1)
-    if flavor == "hermitian":
-        masks.append(mask << 2 * n)
-    return masks
-
-
-def per_bit_kernel(masks, width):
+def per_bit_kernel(rows, width):
     """Reference kernel: each bit of an RREF row besides its pivot is a
     free column whose vector the pivot joins, walked one bit at a time."""
     pivots = 0
     joins = [0] * width
-    for r in rref(masks):
+    for r in rref(rows):
         p = 1 << r.bit_length() - 1
         pivots |= p
         x = r ^ p
@@ -233,16 +233,24 @@ def per_bit_kernel(masks, width):
 @example((15, [RingWord.from_poly_text(15, "0;x^4+x+1;0"), u2_all_ones(15)]))
 @example((9, [RingWord(9, 1)]))
 @example((5, [RingWord(5, 0, 0, 1)]))
+@example(UPPER_LOWS_AT_THE_HERMITIAN_PIVOT[0])
+@example(UPPER_LOWS_AT_THE_HERMITIAN_PIVOT[1])
 def test_kernel_matches_per_bit_walk(case):
-    # The same vectors in the same order: one per free column, ascending.
-    # _kernel gets the at most four seed masks; the reference walks the
-    # RREF of every basis row's mask.
+    # _kernel_tops reads each layer's top kernel vector off the code's
+    # lows; the reference walks the RREF of every basis row, plus the
+    # all-u^2 word for the Hermitian flavor.  Its vectors come in
+    # ascending column order, a vector's column being its lowest bit, so
+    # the last one of each layer is that layer's top.
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
     for flavor in FLAVORS:
-        seeds = _orthogonality_masks(c, flavor)
-        assert len(seeds) <= 4
-        assert _kernel(n, seeds) == per_bit_kernel(row_masks(c, flavor), 3 * n)
+        rows = list(c.rows)
+        if flavor == "hermitian":
+            rows.append((1 << n) - 1)
+        tops = {}
+        for v in per_bit_kernel(rows, 3 * n):
+            tops[((v & -v).bit_length() - 1) // n] = v
+        assert _kernel_tops(c, flavor) == [tops[b] for b in sorted(tops)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -250,20 +258,41 @@ def test_kernel_matches_per_bit_walk(case):
 @example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
                RingWord.from_poly_text(21, "0;x^7+1;x^5")]))
 @example((9, [RingWord(9, 1)]))
-def test_dual_generators_are_the_kernel_words(case):
+def test_dual_generators_are_its_rows_as_words(case):
     # The dual is grown from the kernel's top vectors; its generators,
-    # built on first read, are the whole kernel basis as words, and the
-    # dual is the same whether its rows or its dimension is read first.
+    # built on first read, are its basis rows as words, and the dual is
+    # the same whether its rows or its dimension is read first.
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
     for flavor in FLAVORS:
-        words = tuple(unpack(n, v)
-                      for v in _kernel(n, _orthogonality_masks(c, flavor)))
         rows_first, dim_first = dual_code(c, flavor), dual_code(c, flavor)
         assert len(rows_first.rows) == dim_first.dim
-        assert rows_first.generators == dim_first.generators == words
+        words = tuple(unpack(n, r) for r in rows_first.rows)
+        assert dim_first.generators == rows_first.generators == words
         assert rows_first.rows == dim_first.rows
         assert rows_first == dim_first
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dual_inputs())
+@example((1, []))
+@example((1, [RingWord(1, 1)]))
+@example((1, [u2_all_ones(1)]))
+@example((21, []))
+@example((21, [RingWord(21, 1)]))
+@example((21, [RingWord.from_poly_text(21, "0;x^7+1;x"), u2_all_ones(21)]))
+@example((21, [RingWord.from_poly_text(21, "0;0;x+1")]))
+@example((40, []))
+@example((40, [RingWord(40, 1)]))
+@example((40, [RingWord.from_poly_text(40, "0;0;x+1")]))
+@example((40, [RingWord.from_poly_text(40, "0;0;x^8+1")]))
+def test_hermitian_dual_adds_one_equation_off_the_all_u2_word(case):
+    # The Hermitian equation swaps to the all-u^2 word, which adds one
+    # row to the code's span exactly when the code does not hold it.
+    n, gens = case
+    c = CyclicCode.from_generators(n, gens)
+    held = c.contains(u2_all_ones(n))
+    assert c.dim + dual_code(c, "hermitian").dim == 3 * n - (not held)
 
 
 def test_dual_brute_rejects_large_n():
