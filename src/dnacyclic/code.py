@@ -279,14 +279,6 @@ def _torsion(n, g, p1, p2):
     return a1, polyf2.gcd(a1, mix)
 
 
-def _presented_dim(n, g, p1, p2, a2):
-    """GF(2) dimension of <g + u p1 + u^2 p2, u^2 a2>, without building it:
-    3n - deg g - deg a1 - deg gcd(t, a2), with (a1, t) from _torsion."""
-    a1, t = _torsion(n, g, p1, p2)
-    return (3 * n - polyf2.degree(g) - polyf2.degree(a1)
-            - polyf2.degree(polyf2.gcd(t, a2)))
-
-
 class Presentation(namedtuple("Presentation", "case g p1 p2 a1 q a2")):
     """Structure-theorem generator data: case (int, 1-3) and six packed
     GF(2) polynomials (int), the fields a case does not use being zero.

@@ -13,18 +13,20 @@ criterion 10 genuinely fails; criterion 10 additionally measures and
 reports that failure rate on unrestricted samples.
 """
 
-import math
+import functools
 import random
 import time
 
-from dnacyclic import cli, polyf2, ring
+from dnacyclic import cli, polyf2
 from dnacyclic.code import CyclicCode
 from dnacyclic.constraints import (check_rc_double, check_rc_single,
                                    check_reversible_double,
                                    check_reversible_single)
 from dnacyclic.dual import (check_dual_reversibility_equivalence, dual_brute,
                             dual_code, verify_dual_divisibility)
-from dnacyclic.polyr import RingWord, divides_xn_minus_1, u2_all_ones
+from dnacyclic.polyr import RingWord, u2_all_ones
+from oracles import (G, P1, P2, candidate_code, example_code, proper_divisors,
+                     random_code, random_word, structural_pairs)
 
 SEED = 20260808
 
@@ -41,10 +43,6 @@ TABLE2 = frozenset({
     "ACGCACCATGGCTGCA",
 })
 
-G = polyf2.from_text("x^6+x^4+x^2+1")
-P1 = polyf2.from_text("x^5+x")
-P2 = polyf2.from_text("x^4+x^2")
-
 
 def _report(k, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -52,40 +50,15 @@ def _report(k, ok, detail=""):
     assert ok, f"criterion {k}: {detail}"
 
 
-def _proper_divisors(n):
-    return [d for d in polyf2.divisors_of_xn1(n)
-            if 1 <= polyf2.degree(d) <= n - 1]
+@functools.cache
+def _basis_decisions(c):
+    """(reversible, rc-closed), decided exactly on the code's basis by
+    is_reversible and is_rc_closed, once per code.
 
-
-_PAIR_CACHE = {}
-
-
-def _structural_pairs(n, g):
-    """All (p1, p2), deg < deg g, making g + u p1 + u^2 p2 an R-divisor
-    of x^n - 1."""
-    key = (n, g)
-    if key not in _PAIR_CACHE:
-        r = polyf2.degree(g)
-        _PAIR_CACHE[key] = [
-            (p1, p2)
-            for p1 in range(1 << r) for p2 in range(1 << r)
-            if divides_xn_minus_1(RingWord.from_polys(n, g, p1, p2))]
-    return _PAIR_CACHE[key]
-
-
-_ORACLE_MEMO = {}
-
-
-def _closure_oracle(n, g, p1, p2, a2=None):
-    """(reversible, rc-closed) by exhaustive enumeration, memoized per code."""
-    gens = [RingWord.from_polys(n, g, p1, p2)]
-    if a2 is not None:
-        gens.append(RingWord.from_polys(n, 0, 0, a2))
-    c = CyclicCode.from_generators(n, gens)
-    key = (n, c.rows)
-    if key not in _ORACLE_MEMO:
-        _ORACLE_MEMO[key] = (c.is_reversible(), c.is_rc_closed())
-    return _ORACLE_MEMO[key]
+    test_code.py's test_algebraic_decisions_match_exhaustive_walk pins
+    these decisions to a walk of every codeword.
+    """
+    return c.is_reversible(), c.is_rc_closed()
 
 
 def test_criterion_01_reference_catalog_set_equality():
@@ -100,7 +73,7 @@ def test_criterion_01_reference_catalog_set_equality():
 def test_criterion_02_example_certification():
     t0 = time.perf_counter()
     rev = check_reversible_single(8, G, P1, P2)
-    c = CyclicCode.from_generators(8, [RingWord.from_polys(8, G, P1, P2)])
+    c = example_code()
     member = c.contains(u2_all_ones(8))
     rc = check_rc_single(8, G, P1, P2)
     elapsed = time.perf_counter() - t0
@@ -115,7 +88,7 @@ def test_criterion_03_minimum_distance():
     words = [cli.dna_to_word(s) for s in cli.reference_catalog()]
     pairwise = min((a + b).weight()
                    for i, a in enumerate(words) for b in words[i + 1:])
-    c = CyclicCode.from_generators(8, [RingWord.from_polys(8, G, P1, P2)])
+    c = example_code()
     full = c.min_hamming_distance()
     elapsed = time.perf_counter() - t0
     note = "" if full == pairwise else \
@@ -131,12 +104,12 @@ def test_criterion_04_reversible_single_oracle_suite():
     checks = agree = 0
     mismatches = []
     for n in (2, 4, 6, 8):
-        for g in _proper_divisors(n):
-            pairs = _structural_pairs(n, g)
+        for g in proper_divisors(n):
+            pairs = structural_pairs(n, g)
             draws = {tuple(rng.choice(pairs)) for _ in range(200)}
             for p1, p2 in sorted(draws):
                 verdict = check_reversible_single(n, g, p1, p2)
-                rev, _ = _closure_oracle(n, g, p1, p2)
+                rev, _ = _basis_decisions(candidate_code(n, g, p1, p2))
                 checks += 1
                 if verdict.satisfied == rev:
                     agree += 1
@@ -145,8 +118,8 @@ def test_criterion_04_reversible_single_oracle_suite():
                                        polyf2.to_text(p1), polyf2.to_text(p2)))
     elapsed = time.perf_counter() - t0
     ok = agree == checks and elapsed < 120.0
-    _report(4, ok, f"{agree}/{checks} verdicts match the enumeration oracle "
-                   f"across n in (2,4,6,8), {elapsed:.1f}s"
+    _report(4, ok, f"{agree}/{checks} verdicts match the exact basis "
+                   f"decisions across n in (2,4,6,8), {elapsed:.1f}s"
                    + (f"; mismatches {mismatches}" if mismatches else ""))
 
 
@@ -166,14 +139,14 @@ def test_criterion_05_double_and_rc_oracle_suites():
 
     for n in (2, 4, 6, 8):
         all_divs = polyf2.divisors_of_xn1(n)
-        for g in _proper_divisors(n):
-            pairs = _structural_pairs(n, g)
+        for g in proper_divisors(n):
+            pairs = structural_pairs(n, g)
             subs = [d for d in all_divs if polyf2.divides(d, g)]
             # two-generator draws, a2 sampled over the divisors of g
             double_draws = {(rng.choice(pairs), rng.choice(subs))
                             for _ in range(200)}
             for (p1, p2), a2 in sorted(double_draws):
-                rev, rc = _closure_oracle(n, g, p1, p2, a2)
+                rev, rc = _basis_decisions(candidate_code(n, g, p1, p2, a2))
                 cfg = (n, polyf2.to_text(g), polyf2.to_text(p1),
                        polyf2.to_text(p2), polyf2.to_text(a2))
                 compare("rev2", check_reversible_double(n, g, p1, p2, a2).satisfied,
@@ -183,14 +156,14 @@ def test_criterion_05_double_and_rc_oracle_suites():
             # single-generator rc draws
             single_draws = {tuple(rng.choice(pairs)) for _ in range(200)}
             for p1, p2 in sorted(single_draws):
-                _, rc = _closure_oracle(n, g, p1, p2)
+                _, rc = _basis_decisions(candidate_code(n, g, p1, p2))
                 compare("rc1", check_rc_single(n, g, p1, p2).satisfied, rc,
                         (n, polyf2.to_text(g), polyf2.to_text(p1),
                          polyf2.to_text(p2)))
     elapsed = time.perf_counter() - t0
     ok = agree == checks and elapsed < 120.0
     _report(5, ok, f"{agree}/{checks} two-generator and rc verdicts match "
-                   f"the enumeration oracle, {elapsed:.1f}s"
+                   f"the exact basis decisions, {elapsed:.1f}s"
                    + (f"; mismatches {mismatches}" if mismatches else ""))
 
 
@@ -201,8 +174,7 @@ def test_criterion_06_reversal_identities():
     total = 10_000
     for _ in range(total):
         n = rng.randrange(1, 9)
-        w = RingWord(n, rng.randrange(1 << n), rng.randrange(1 << n),
-                     rng.randrange(1 << n))
+        w = random_word(rng, n)
         if w.reverse_complement() != w.reverse() + u2_all_ones(n):
             failures += 1
             continue
@@ -223,15 +195,15 @@ def _rc_closed_pool(rng, n, min_deg, want):
     """Distinct rc-closed codes built from certified structural data."""
     pool = []
     seen = set()
-    divisors = [g for g in _proper_divisors(n) if polyf2.degree(g) >= min_deg]
+    divisors = [g for g in proper_divisors(n) if polyf2.degree(g) >= min_deg]
     attempts = 0
     while len(pool) < want and attempts < 10_000:
         attempts += 1
         g = rng.choice(divisors)
-        p1, p2 = rng.choice(_structural_pairs(n, g))
+        p1, p2 = rng.choice(structural_pairs(n, g))
         if not check_rc_single(n, g, p1, p2).satisfied:
             continue
-        c = CyclicCode.from_generators(n, [RingWord.from_polys(n, g, p1, p2)])
+        c = candidate_code(n, g, p1, p2)
         if c.rows in seen:
             continue
         seen.add(c.rows)
@@ -259,19 +231,12 @@ def test_criterion_07_sum_intersection_rc_closure():
                    f"rc-closed, {failures} failures, {elapsed:.1f}s")
 
 
-def _random_code(rng, n, max_gens=2):
-    gens = [RingWord(n, rng.randrange(1 << n), rng.randrange(1 << n),
-                     rng.randrange(1 << n))
-            for _ in range(rng.randrange(0, max_gens + 1))]
-    return CyclicCode.from_generators(n, gens)
-
-
 def _moderate_code(rng, n):
     """Random structural code of moderate dimension (duals stay small)."""
-    divisors = [g for g in _proper_divisors(n)
+    divisors = [g for g in proper_divisors(n)
                 if polyf2.degree(g) >= max(1, n // 2 - 1)]
     g = rng.choice(divisors)
-    p1, p2 = rng.choice(_structural_pairs(n, g))
+    p1, p2 = rng.choice(structural_pairs(n, g))
     gens = [RingWord.from_polys(n, g, p1, p2)]
     if rng.random() < 0.5:
         subs = [d for d in polyf2.divisors_of_xn1(n) if polyf2.divides(d, g)
@@ -286,7 +251,7 @@ def test_criterion_08_duality_suite():
     brute_checked = brute_ok = 0
     for n in (1, 2, 3, 4):
         for _ in range(50):
-            c = _random_code(rng, n)
+            c = random_code(rng, n)
             for flavor in ("euclidean", "hermitian"):
                 brute_checked += 1
                 if dual_code(c, flavor) == dual_brute(c, flavor):
@@ -294,7 +259,7 @@ def test_criterion_08_duality_suite():
     identity_checked = identity_ok = equiv_ok = equiv_checked = 0
     for n in (2, 4, 6, 8):
         for _ in range(25):
-            c = _moderate_code(rng, n) if n >= 6 else _random_code(rng, n)
+            c = _moderate_code(rng, n) if n >= 6 else random_code(rng, n)
             d = dual_code(c, "euclidean")
             identity_checked += 1
             if (c.cardinality * d.cardinality == 8 ** n
@@ -315,9 +280,7 @@ def test_criterion_08_duality_suite():
 def _strict_chains(n):
     divisors = polyf2.divisors_of_xn1(n)
     chains = []
-    for g in divisors:
-        if not 1 <= polyf2.degree(g) <= n - 1:
-            continue
+    for g in proper_divisors(n):
         for a1 in divisors:
             if a1 == g or not polyf2.divides(a1, g):
                 continue
@@ -372,16 +335,14 @@ def test_criterion_10_u2_subcode_identity():
     checked = equal = 0
     unrestricted_checked = unrestricted_equal = 0
     for n in (4, 8):
-        divisors = _proper_divisors(n)
+        divisors = proper_divisors(n)
         all_divs = polyf2.divisors_of_xn1(n)
         for _ in range(60):
             g = rng.choice(divisors)
             subs = [d for d in all_divs if polyf2.divides(d, g)]
             a2 = rng.choice(subs)
-            p1, p2 = rng.choice(_structural_pairs(n, g))
-            c = CyclicCode.from_generators(
-                n, [RingWord.from_polys(n, g, p1, p2),
-                    RingWord.from_polys(n, 0, 0, a2)])
+            p1, p2 = rng.choice(structural_pairs(n, g))
+            c = candidate_code(n, g, p1, p2, a2)
             expected = CyclicCode.from_generators(
                 n, [RingWord.from_polys(n, 0, 0, a2)])
             checked += 1
@@ -394,9 +355,7 @@ def test_criterion_10_u2_subcode_identity():
             a2 = rng.choice(subs)
             r = polyf2.degree(g)
             p1, p2 = rng.randrange(1 << r), rng.randrange(1 << r)
-            c = CyclicCode.from_generators(
-                n, [RingWord.from_polys(n, g, p1, p2),
-                    RingWord.from_polys(n, 0, 0, a2)])
+            c = candidate_code(n, g, p1, p2, a2)
             expected = CyclicCode.from_generators(
                 n, [RingWord.from_polys(n, 0, 0, a2)])
             unrestricted_checked += 1

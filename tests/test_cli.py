@@ -17,6 +17,8 @@ from dnacyclic import cli, constraints, polyf2, ring
 from dnacyclic.code import CyclicCode, pack
 from dnacyclic.cli import dna_to_word, main, reference_catalog, word_to_dna
 from dnacyclic.polyr import RingWord, u2_all_ones
+from oracles import (G, P1, P2, candidate_code, reference_search,
+                     search_candidates, verdict)
 
 EXAMPLE_SPEC = json.dumps({
     "n": 8,
@@ -33,9 +35,7 @@ def run(capsys, argv):
 
 
 def test_word_dna_round_trip():
-    w = RingWord.from_polys(8, polyf2.from_text("x^6+x^4+x^2+1"),
-                            polyf2.from_text("x^5+x"),
-                            polyf2.from_text("x^4+x^2"))
+    w = RingWord.from_polys(8, G, P1, P2)
     s = word_to_dna(w)
     assert s == "ATGTTAGCTAGTATGC"
     assert dna_to_word(s) == w
@@ -699,40 +699,23 @@ def test_search_calls_the_module_checkers(capsys, monkeypatch):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_search_matches_certificate_loop(capsys, n, require):
     """search gives the hits of a plain loop over the public checkers."""
-    single = (constraints.check_rc_single if require == "rc"
-              else constraints.check_reversible_single)
-    double = (constraints.check_rc_double if require == "rc"
-              else constraints.check_reversible_double)
-    divisors = polyf2.divisors_of_xn1(n)
     candidates = 0
     first = {}
-    for g in divisors:
-        r = polyf2.degree(g)
-        if not 1 <= r <= n - 1:
+    for g, p1, p2, a2 in search_candidates(n):
+        candidates += 1
+        v = verdict(require, n, g, p1, p2, a2)
+        if not v.satisfied:
             continue
-        subs = [d for d in divisors if d != g and polyf2.divides(d, g)]
-        for p1 in range(1 << r):
-            for p2 in range(1 << r):
-                for a2 in [None] + subs:
-                    candidates += 1
-                    gens = [RingWord.from_polys(n, g, p1, p2)]
-                    if a2 is None:
-                        verdict = single(n, g, p1, p2)
-                    else:
-                        verdict = double(n, g, p1, p2, a2)
-                        gens.append(RingWord.from_polys(n, 0, 0, a2))
-                    if not verdict.satisfied:
-                        continue
-                    c = CyclicCode.from_generators(n, gens)
-                    if c.rows in first:
-                        continue
-                    first[c.rows] = {
-                        "n": n, "g": polyf2.to_text(g),
-                        "p1": polyf2.to_text(p1), "p2": polyf2.to_text(p2),
-                        "a2": None if a2 is None else polyf2.to_text(a2),
-                        "case": verdict.case, "dim": c.dim,
-                        "cardinality": c.cardinality,
-                        "min_distance": c.min_hamming_distance()}
+        c = candidate_code(n, g, p1, p2, a2)
+        if c.rows in first:
+            continue
+        first[c.rows] = {
+            "n": n, "g": polyf2.to_text(g),
+            "p1": polyf2.to_text(p1), "p2": polyf2.to_text(p2),
+            "a2": None if a2 is None else polyf2.to_text(a2),
+            "case": v.case, "dim": c.dim,
+            "cardinality": c.cardinality,
+            "min_distance": c.min_hamming_distance()}
     code, out, _ = run(capsys, ["search", "--n", str(n), "--require", require])
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
@@ -744,68 +727,6 @@ def test_search_matches_certificate_loop(capsys, n, require):
     assert summary["truncated"] is False
 
 
-def reference_candidates(n):
-    """Yield (g, p1, p2, a2) per candidate, a2 = None for one generator:
-    search's walk order, one candidate at a time."""
-    divisors = polyf2.divisors_of_xn1(n)
-    for g in divisors:
-        r = polyf2.degree(g)
-        if not 1 <= r <= n - 1:
-            continue
-        a2s = (None, *(d for d in divisors if d != g and polyf2.divides(d, g)))
-        for p1 in range(1 << r):
-            for p2 in range(1 << r):
-                for a2 in a2s:
-                    yield g, p1, p2, a2
-
-
-def reference_search(n, require, max_configs, cap, min_distance):
-    """(stdout, exit code) of search as a loop of one candidate at a time:
-    one public-checker call per candidate up to --max-configs, one build
-    per certified candidate, and the first-seen candidate of each code."""
-    single = (constraints.check_rc_single if require == "rc"
-              else constraints.check_reversible_single)
-    double = (constraints.check_rc_double if require == "rc"
-              else constraints.check_reversible_double)
-    truncated = False
-    configs = 0
-    seen = {}
-    for g, p1, p2, a2 in reference_candidates(n):
-        configs += 1
-        if configs > max_configs:
-            truncated = True
-            break
-        verdict = (single(n, g, p1, p2) if a2 is None
-                   else double(n, g, p1, p2, a2))
-        if not verdict.satisfied:
-            continue
-        gens = [RingWord(n, g, p1, p2)]
-        if a2 is not None:
-            gens.append(RingWord(n, 0, 0, a2))
-        c = CyclicCode.from_generators(n, gens)
-        if c in seen:
-            continue
-        if c.dim > (24 if cap is None else cap):
-            truncated = True
-            continue
-        seen[c] = {
-            "n": n, "g": polyf2.to_text(g), "p1": polyf2.to_text(p1),
-            "p2": polyf2.to_text(p2),
-            "a2": None if a2 is None else polyf2.to_text(a2),
-            "case": verdict.case, "dim": c.dim,
-            "cardinality": c.cardinality,
-            "min_distance": c.min_hamming_distance(cap),
-        }
-    hits = [h for h in seen.values() if h["min_distance"] >= min_distance]
-    hits.sort(key=lambda h: (-h["min_distance"], -h["cardinality"],
-                             h["g"], h["p1"], h["p2"], h["a2"] or ""))
-    lines = [json.dumps(h, sort_keys=True) for h in hits]
-    lines.append(json.dumps({"summary": True, "hits": len(hits),
-                             "configs": configs, "truncated": truncated},
-                            sort_keys=True))
-    return "".join(line + "\n" for line in lines), 3 if truncated else 0
-
-
 @st.composite
 def search_windows(draw):
     """(n, require, --max-configs, --cap or None, --min-distance).
@@ -815,7 +736,7 @@ def search_windows(draw):
     early or late changes the output most often.
     """
     n = draw(st.sampled_from([2, 4, 6]))
-    total = sum(1 for _ in reference_candidates(n))
+    total = sum(1 for _ in search_candidates(n))
     budget = draw(st.one_of(st.integers(0, min(total + 1, 60)),
                             st.integers(0, total + 1)))
     return (n, draw(st.sampled_from(["rc", "reversible"])), budget,

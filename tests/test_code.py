@@ -8,30 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnacyclic import cli, polyf2, ring
+from dnacyclic import cli, polyf2
 from dnacyclic.code import (CyclicCode, DEFAULT_ENUM_CAP, Presentation,
-                            _presented_dim, _torsion, pack, rref, unpack)
+                            _torsion, pack, rref, unpack)
 from dnacyclic.constraints import Verdict, check_rc_single
 from dnacyclic.polyf2 import CapExceeded
 from dnacyclic.polyr import RingWord, u2_all_ones
-
-G = polyf2.from_text("x^6+x^4+x^2+1")
-P1 = polyf2.from_text("x^5+x")
-P2 = polyf2.from_text("x^4+x^2")
-
-
-def example_code():
-    return CyclicCode.from_generators(8, [RingWord.from_polys(8, G, P1, P2)])
-
-
-def random_word(rng, n):
-    return RingWord(n, rng.randrange(1 << n), rng.randrange(1 << n),
-                    rng.randrange(1 << n))
-
-
-def random_code(rng, n, max_gens=2):
-    gens = [random_word(rng, n) for _ in range(rng.randrange(0, max_gens + 1))]
-    return CyclicCode.from_generators(n, gens)
+from oracles import (G, P1, P2, candidate_code, example_code,
+                     exhaustive_report, expansion_rref, random_code,
+                     random_word, reference_rref, socle_distance, verdict,
+                     walked_distance, zassenhaus_rows)
 
 
 def test_pack_round_trip():
@@ -352,6 +338,8 @@ def test_case_tag_matches_rebuild(c):
 
 
 def test_presented_dim_matches_built_ideal():
+    # The dimension 3n - deg g - deg a1 - deg t2 from the generator data,
+    # and the torsion generators it reads, against the built ideal.
     rng = random.Random(31)
     for n in range(1, 13):
         divisors = polyf2.divisors_of_xn1(n)
@@ -360,19 +348,11 @@ def test_presented_dim_matches_built_ideal():
             for _ in range(3):
                 p1, p2 = rng.randrange(1 << n), rng.randrange(1 << n)
                 for a2 in (0, rng.choice(subs)):
-                    words = [RingWord.from_polys(n, g, p1, p2)]
-                    if a2:
-                        words.append(RingWord.from_polys(n, 0, 0, a2))
-                    expected = CyclicCode.from_generators(n, words).dim
-                    assert _presented_dim(n, g, p1, p2, a2) == expected, (
-                        n, g, p1, p2, a2)
+                    assert_torsion_matches_built_ideal(n, g, p1, p2, a2)
 
 
 def assert_torsion_matches_built_ideal(n, g, p1, p2, a2):
-    words = [RingWord.from_polys(n, g, p1, p2)]
-    if a2:
-        words.append(RingWord.from_polys(n, 0, 0, a2))
-    c = CyclicCode.from_generators(n, words)
+    c = candidate_code(n, g, p1, p2, a2)
     a1, t = _torsion(n, g, p1, p2)
     t2 = polyf2.gcd(t, a2)
     assert (a1, t2) == (c.torsion_generator(1), c.torsion_generator(2))
@@ -382,14 +362,11 @@ def assert_torsion_matches_built_ideal(n, g, p1, p2, a2):
 
 @pytest.mark.parametrize("mode", ["reversible", "rc"])
 def test_torsion_matches_every_certified_search_candidate(mode):
-    single, double = cli._checkers(mode)
     certified = 0
     for n in (2, 4, 6):
         for g, p1, p2, a2s in cli._search_candidates(n):
             for a2 in a2s:
-                verdict = (single(n, g, p1, p2) if a2 is None
-                           else double(n, g, p1, p2, a2))
-                if verdict.satisfied:
+                if verdict(mode, n, g, p1, p2, a2).satisfied:
                     certified += 1
                     assert_torsion_matches_built_ideal(n, g, p1, p2, a2 or 0)
     assert certified > 1000
@@ -472,25 +449,6 @@ def structured_code(rng, n):
     return CyclicCode.from_generators(n, gens)
 
 
-def exhaustive_report(c):
-    """Closure and distance of a code by walking all of its words."""
-    n = c.n
-    mask = (1 << n) - 1
-    rev = [int(format(v, f"0{n}b")[::-1], 2) for v in range(1 << n)]
-
-    def reverse(v):
-        return rev[v & mask] | rev[v >> n & mask] << n | rev[v >> 2 * n] << 2 * n
-
-    members = set(c.packed_words())
-    weights = [w.weight() for w in c.words() if not w.is_zero()]
-    return {
-        "reversible": all(reverse(v) in members for v in members),
-        "complement": all(v ^ mask in members for v in members),
-        "rc": all(reverse(v) ^ mask in members for v in members),
-        "distance": min(weights, default=math.inf),
-    }
-
-
 def algebraic_report(c):
     return {
         "reversible": c.is_reversible(),
@@ -515,21 +473,6 @@ def test_algebraic_decisions_match_exhaustive_walk(low, high, count):
             seen.add(expected[key])
         done += 1
     assert all(seen == {True, False} for seen in verdicts.values())
-
-
-def reference_rref(vectors):
-    """Plain Gauss-Jordan elimination, highest pivot first."""
-    rows = {}
-    for v in vectors:
-        while v and v.bit_length() - 1 in rows:
-            v ^= rows[v.bit_length() - 1]
-        if v:
-            rows[v.bit_length() - 1] = v
-    for p in sorted(rows, reverse=True):
-        for q in rows:
-            if q != p and rows[q] >> p & 1:
-                rows[q] ^= rows[p]
-    return tuple(rows[p] for p in sorted(rows, reverse=True))
 
 
 @st.composite
@@ -591,25 +534,10 @@ def generator_sets(draw, max_n=12):
 @example((6, [RingWord(6, 0b101, 0b11, 0)] * 3))
 def test_span_matches_full_expansion(case):
     n, gens = case
-    expansions = []
-    for w in gens:
-        for _ in range(3):
-            expansions.extend(pack(w.shift(i)) for i in range(n))
-            w = w.times_u()
-    rows = reference_rref(expansions)
+    rows = expansion_rref(n, gens)
     # The build order of the chains must not change the unique RREF.
     for order in itertools.permutations(gens):
         assert CyclicCode.from_generators(n, order).rows == rows
-
-
-def expansion_rref(n, gens):
-    """Plain elimination of every u^j x^i w over the generators w."""
-    expansions = []
-    for w in gens:
-        for _ in range(3):
-            expansions.extend(pack(w.shift(i)) for i in range(n))
-            w = w.times_u()
-    return reference_rref(expansions)
 
 
 # f = x^3 + x + 1 divides x^21 + 1 and x^7 + 1 divides it too.
@@ -676,14 +604,6 @@ def generator_set_pairs(draw):
     return n, gens, other
 
 
-def socle_distance(rows):
-    """Minimum weight over the nonzero span of u^2-only rows, by a plain walk."""
-    words = {0}
-    for r in rows:
-        words |= {w ^ r for w in words}
-    return min((w.bit_count() for w in words if w), default=math.inf)
-
-
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(generator_set_pairs())
 @example((5, [RingWord(5, 1)], [RingWord(5, 1, 1, 0)]))
@@ -710,11 +630,6 @@ def test_code_identity_is_its_lowest_rows(case):
 
 def socle_code(n, t2):
     return CyclicCode.from_generators(n, [RingWord(n, 0, 0, t2)])
-
-
-def walked_distance(n, t2):
-    """The socle <t2>'s distance by walking every word of it."""
-    return socle_distance([t2 << i for i in range(n + 1 - t2.bit_length())])
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -776,14 +691,6 @@ def test_min_distance_matches_walk_of_the_socle_rows(case):
     c = CyclicCode.from_generators(n, gens)
     socle = [r for r in c.rows if r.bit_length() <= n]
     assert c.min_hamming_distance(cap=3 * n) == socle_distance(socle)
-
-
-def zassenhaus_rows(a, b):
-    """The RREF of C1 ∩ C2: rref of the double block (c1 | c1), (c2 | 0),
-    keeping the rows whose top block is zero."""
-    w = 3 * a.n
-    both = rref([r << w | r for r in a.rows] + [r << w for r in b.rows])
-    return tuple(r for r in both if r >> w == 0)
 
 
 # At n = 64 and at odd n = 21 the first two pairs of each length meet

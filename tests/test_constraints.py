@@ -4,53 +4,13 @@ import pytest
 
 from dnacyclic import cli, polyf2
 from dnacyclic.code import CyclicCode
-from dnacyclic.constraints import (Verdict, _not_member, check_rc_double,
+from dnacyclic.constraints import (Verdict, check_rc_double,
                                    check_rc_single, check_reversible_double,
                                    check_reversible_single)
-from dnacyclic.polyr import RingWord, divides_xn_minus_1, u2_all_ones
-
-G = polyf2.from_text("x^6+x^4+x^2+1")
-P1 = polyf2.from_text("x^5+x")
-P2 = polyf2.from_text("x^4+x^2")
-
-
-# The rc checkers' former membership path, kept as the reference they
-# are compared against: all four folds on every call, no cached half.
-def _u2_all_ones_member(n, g, p1, p2, a2):
-    """Whether u^2 (1 + ... + x^(n-1)) is in <g + u p1 + u^2 p2, u^2 a2>.
-
-    Requires g | m = x^n+1.  A codeword (k0 + u k1 + u^2 k2)(g + u p1 +
-    u^2 p2) lies in u^2 R exactly when k0 g = 0 and k0 p1 + k1 g = 0
-    (mod m), so k0 = (m/g) k0' with the syzygy (m/g) k0' p1 = g k1
-    (mod m).  With h = (m/g) p1 and a1 = gcd(g, h) it holds exactly when
-    k0' = (g/a1) k and k1 = (h/a1) k + (m/g) j, and the u^2 layer
-    k0 p2 + k1 p1 + k2 g spans Tor_2 = <a1, (m/a1) p2 + (h/a1) p1>, plus
-    a2 for the second generator.
-
-    Tor_2 is <t2> with t2 | m, and 1 + ... + x^(n-1) = m/(x+1), so only
-    the power of x+1 in t2 decides: m = (x^o + 1)^e with o odd holds x+1
-    exactly e times, and the word is missing exactly when (x+1)^e | t2.
-    (x+1)^e | a1 needs it to divide g, so m/g is prime to x+1, and then
-    p1; then m/a1 is prime to x+1 and (h/a1) p1 is a multiple, so
-    (x+1)^e | t2 holds exactly when it also divides p2 and a2.
-    """
-    e = n & -n  # (x+1)^e = x^e + 1, e the largest power of two dividing n
-    return bool(polyf2.mod_xn1(g, e) or polyf2.mod_xn1(a2, e)
-                or polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e))
-
-
-def _with_membership(verdict, n, g, p1, p2, a2):
-    if not verdict.hypothesis_ok or _u2_all_ones_member(n, g, p1, p2, a2):
-        return verdict
-    return _not_member(verdict)
-
-
-def structural_pairs(n, g):
-    """(p1, p2) with deg < deg g whose generator divides x^n - 1 in R."""
-    r = polyf2.degree(g)
-    return [(p1, p2)
-            for p1 in range(1 << r) for p2 in range(1 << r)
-            if divides_xn_minus_1(RingWord.from_polys(n, g, p1, p2))]
+from dnacyclic.polyr import RingWord, u2_all_ones
+from oracles import (G, P1, P2, candidate_code, proper_divisors,
+                     search_family_gap, structural_pairs, u2_all_ones_member,
+                     verdict, with_membership)
 
 
 def test_example_single():
@@ -165,15 +125,13 @@ def test_checker_satisfaction_is_sufficient_unconditionally():
     rng = random.Random(40)
     for _ in range(400):
         n = rng.choice((2, 4, 6))
-        divisors = [d for d in polyf2.divisors_of_xn1(n)
-                    if 1 <= polyf2.degree(d) <= n - 1]
-        g = rng.choice(divisors)
+        g = rng.choice(proper_divisors(n))
         r = polyf2.degree(g)
         p1 = rng.randrange(1 << r)
         p2 = rng.randrange(1 << r)
         v = check_reversible_single(n, g, p1, p2)
         if v.satisfied:
-            c = CyclicCode.from_generators(n, [RingWord.from_polys(n, g, p1, p2)])
+            c = candidate_code(n, g, p1, p2)
             assert c.is_reversible()
 
 
@@ -182,12 +140,9 @@ def test_biconditional_on_structural_family_small():
     # verdict equals the exact decision on the basis, for both properties.
     # Codes at n = 10 reach dimension 27, above the default cap.
     for n in (2, 4, 6, 8, 10):
-        for g in polyf2.divisors_of_xn1(n):
-            if not 1 <= polyf2.degree(g) <= n - 1:
-                continue
+        for g in proper_divisors(n):
             for p1, p2 in structural_pairs(n, g):
-                c = CyclicCode.from_generators(
-                    n, [RingWord.from_polys(n, g, p1, p2)])
+                c = candidate_code(n, g, p1, p2)
                 assert check_reversible_single(n, g, p1, p2).satisfied \
                     == c.is_reversible(cap=3 * n)
                 assert check_rc_single(n, g, p1, p2).satisfied \
@@ -197,57 +152,15 @@ def test_biconditional_on_structural_family_small():
 def test_double_biconditional_on_structural_family_small():
     for n in (2, 4, 6, 8, 10):
         divisors = polyf2.divisors_of_xn1(n)
-        for g in divisors:
-            if not 1 <= polyf2.degree(g) <= n - 1:
-                continue
+        for g in proper_divisors(n):
             subs = [d for d in divisors if polyf2.divides(d, g)]
             for p1, p2 in structural_pairs(n, g):
                 for a2 in subs:
-                    c = CyclicCode.from_generators(
-                        n, [RingWord.from_polys(n, g, p1, p2),
-                            RingWord.from_polys(n, 0, 0, a2)])
+                    c = candidate_code(n, g, p1, p2, a2)
                     assert check_reversible_double(n, g, p1, p2, a2).satisfied \
                         == c.is_reversible(cap=3 * n)
                     assert check_rc_double(n, g, p1, p2, a2).satisfied \
                         == c.is_rc_closed(cap=3 * n)
-
-
-def search_family_gap(n, require):
-    """(closed codes no candidate certifies, closed codes) on search's family.
-
-    Walks the candidates of `search --n n` in their order (every g | x^n+1
-    of degree 1 to n - 1, every p1, p2 of degree below deg g, then one
-    generator and each proper divisor a2 of g), builds every candidate's
-    code and counts the distinct codes that are reversible (rc-closed
-    for require == "rc"), and among them those that no candidate's
-    checker verdict certifies.  Off the R-divisor family the criterion
-    is sufficient only, so the first count need not be 0.
-    """
-    single, double = ((check_rc_single, check_rc_double) if require == "rc"
-                      else (check_reversible_single, check_reversible_double))
-    certified = {}
-    divisors = polyf2.divisors_of_xn1(n)
-    for g in divisors:
-        r = polyf2.degree(g)
-        if not 1 <= r <= n - 1:
-            continue
-        subs = [d for d in divisors if d != g and polyf2.divides(d, g)]
-        for p1 in range(1 << r):
-            for p2 in range(1 << r):
-                for a2 in [None] + subs:
-                    gens = [RingWord.from_polys(n, g, p1, p2)]
-                    if a2 is None:
-                        verdict = single(n, g, p1, p2)
-                    else:
-                        verdict = double(n, g, p1, p2, a2)
-                        gens.append(RingWord.from_polys(n, 0, 0, a2))
-                    c = CyclicCode.from_generators(n, gens)
-                    closed = (c.is_rc_closed(3 * n) if require == "rc"
-                              else c.is_reversible(3 * n))
-                    if closed:
-                        certified[c.rows] = (certified.get(c.rows, False)
-                                             or verdict.satisfied)
-    return sum(not v for v in certified.values()), len(certified)
 
 
 @pytest.mark.parametrize("n, require, expected", [
@@ -286,15 +199,9 @@ def test_rc_membership_matches_built_ideal():
         r = polyf2.degree(g)
         p1, p2 = (rng.choice((0, rng.randrange(1 << r))) for _ in range(2))
         a2 = rng.choice([0] + [d for d in divisors[n] if polyf2.divides(d, g)])
-        gens = [RingWord.from_polys(n, g, p1, p2)]
-        if a2:
-            gens.append(RingWord.from_polys(n, 0, 0, a2))
-            rev = check_reversible_double(n, g, p1, p2, a2)
-            rc = check_rc_double(n, g, p1, p2, a2)
-        else:
-            rev = check_reversible_single(n, g, p1, p2)
-            rc = check_rc_single(n, g, p1, p2)
-        member = CyclicCode.from_generators(n, gens).contains(u2_all_ones(n))
+        rev = verdict("reversible", n, g, p1, p2, a2)
+        rc = verdict("rc", n, g, p1, p2, a2)
+        member = candidate_code(n, g, p1, p2, a2).contains(u2_all_ones(n))
         assert rc.satisfied == (rev.satisfied and member)
         assert ("all-u2 word is not a codeword" in rc.notes) == (not member)
         outcomes.add((member, rev.satisfied))
@@ -333,10 +240,8 @@ def test_one_generator_is_two_at_a2_equal_g():
     merged = {"A": "A", "C": "A"}
     candidates = 0
     for n in (2, 4, 6, 8):
-        for g in polyf2.divisors_of_xn1(n):
+        for g in proper_divisors(n):
             r = polyf2.degree(g)
-            if not 1 <= r <= n - 1:
-                continue
             for p1 in range(1 << r):
                 for p2 in range(1 << r):
                     candidates += 1
@@ -458,7 +363,7 @@ def test_merged_body_matches_reference():
         if not isinstance(v, str):
             a2 = args[4] if len(args) == 5 else 0
             rc = check_rc_double if len(args) == 5 else check_rc_single
-            assert rc(*args) == _with_membership(v, *args[:4], a2)
+            assert rc(*args) == with_membership(v, *args[:4], a2)
 
     for n in (0, 1, 2, 4, 6, 7, 8, 14):
         for g in range(32):
@@ -504,14 +409,14 @@ def test_search_inputs_match_reference(n):
             for p2 in range(1 << r):
                 v = check_reversible_single(n, g, p1, p2)
                 assert v == _reference_single(n, g, p1, p2)
-                assert check_rc_single(n, g, p1, p2) == _with_membership(
+                assert check_rc_single(n, g, p1, p2) == with_membership(
                     v, n, g, p1, p2, 0)
                 cases.add(v.case)
                 for a2 in subs:
                     v = check_reversible_double(n, g, p1, p2, a2)
                     assert v == _reference_double(n, g, p1, p2, a2)
                     assert check_rc_double(n, g, p1, p2, a2) == (
-                        _with_membership(v, n, g, p1, p2, a2))
+                        with_membership(v, n, g, p1, p2, a2))
     assert cases == {"A", "C", "NONE"}
 
 
@@ -524,16 +429,10 @@ def test_rc_verdict_is_reversibility_plus_built_membership(n):
     missing = 0
     for g, p1, p2, a2s in cli._search_candidates(n):
         for a2 in a2s:
-            gens = [RingWord(n, g, p1, p2)]
-            if a2 is None:
-                rev = check_reversible_single(n, g, p1, p2)
-                rc = check_rc_single(n, g, p1, p2)
-            else:
-                gens.append(RingWord(n, 0, 0, a2))
-                rev = check_reversible_double(n, g, p1, p2, a2)
-                rc = check_rc_double(n, g, p1, p2, a2)
+            rev = verdict("reversible", n, g, p1, p2, a2)
+            rc = verdict("rc", n, g, p1, p2, a2)
             expected = rev
-            if rev.hypothesis_ok and not CyclicCode.from_generators(n, gens).contains(word):
+            if rev.hypothesis_ok and not candidate_code(n, g, p1, p2, a2).contains(word):
                 missing += 1
                 notes = "; ".join(filter(None, [rev.notes, "all-u2 word is not a codeword"]))
                 expected = Verdict(False, rev.case, True, notes)
@@ -590,18 +489,12 @@ def test_rc_membership_where_p1_and_p2_decide(n):
                                   and polyf2.divides(e4, d)
                                   and polyf2.divides(d, g)])
         p1, p2 = _layer(rng, r, e4), _layer(rng, r, e4)
-        gens = [RingWord(n, g, p1, p2)]
-        if a2 is None:
-            rev = check_reversible_single(n, g, p1, p2)
-            rc = check_rc_single(n, g, p1, p2)
-        else:
-            gens.append(RingWord(n, 0, 0, a2))
-            rev = check_reversible_double(n, g, p1, p2, a2)
-            rc = check_rc_double(n, g, p1, p2, a2)
-        assert rc == _with_membership(rev, n, g, p1, p2, a2 or 0), (
+        rev = verdict("reversible", n, g, p1, p2, a2)
+        rc = verdict("rc", n, g, p1, p2, a2)
+        assert rc == with_membership(rev, n, g, p1, p2, a2 or 0), (
             g, p1, p2, a2)
-        member = CyclicCode.from_generators(n, gens).contains(word)
-        assert member == _u2_all_ones_member(n, g, p1, p2, a2 or 0)
+        member = candidate_code(n, g, p1, p2, a2).contains(word)
+        assert member == u2_all_ones_member(n, g, p1, p2, a2 or 0)
         if rc.satisfied:
             assert member
         satisfied += rc.satisfied

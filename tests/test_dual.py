@@ -6,22 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
-from dnacyclic.code import CyclicCode, Presentation, rref, unpack
+from dnacyclic.code import CyclicCode, Presentation, unpack
 from dnacyclic.dual import (FLAVORS, _kernel_tops,
                             check_dual_reversibility_equivalence, dual_brute,
                             dual_code, inner_euclidean, inner_hermitian,
                             verify_dual_divisibility)
 from dnacyclic.polyr import RingWord, u2_all_ones
-
-
-def random_word(rng, n):
-    return RingWord(n, rng.randrange(1 << n), rng.randrange(1 << n),
-                    rng.randrange(1 << n))
-
-
-def random_code(rng, n, max_gens=2):
-    gens = [random_word(rng, n) for _ in range(rng.randrange(0, max_gens + 1))]
-    return CyclicCode.from_generators(n, gens)
+from oracles import (example_code, per_bit_kernel, random_code, random_word,
+                     three_equation_dual)
 
 
 def naive_euclidean(x, y):
@@ -121,34 +113,6 @@ def test_dual_matches_brute():
                 assert dual_code(c, flavor) == dual_brute(c, flavor)
 
 
-def three_equation_dual(c, flavor):
-    """RREF rows of the dual, solved with all three layer equations per
-    basis row and a column-scan kernel."""
-    n = c.n
-    mask = (1 << n) - 1
-    masks = []
-    for b in c.rows:
-        g1, g2, g3 = b >> 2 * n, (b >> n) & mask, b & mask
-        if flavor == "hermitian":
-            g3 ^= mask
-        masks.append(g1 << 2 * n)
-        masks.append(g2 << 2 * n | g1 << n)
-        masks.append(g3 << 2 * n | g2 << n | g1)
-    if flavor == "hermitian":
-        masks.append(mask << 2 * n)
-    pivots = {r.bit_length() - 1: r for r in rref(masks)}
-    kernel = []
-    for col in range(3 * n):
-        if col in pivots:
-            continue
-        v = 1 << col
-        for p, r in pivots.items():
-            if (r >> col) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return rref(kernel)
-
-
 # Codes whose u-layer (first) or unit-layer (second) lowest row has a
 # bit at the pivot of the reduced all-u^2 row, which itself has the bit
 # just below that pivot, the top free column of the u^2 layer: the
@@ -204,23 +168,6 @@ def test_dual_matches_three_equation_reference(case):
     c = CyclicCode.from_generators(n, gens)
     for flavor in ("euclidean", "hermitian"):
         assert dual_code(c, flavor).rows == three_equation_dual(c, flavor)
-
-
-def per_bit_kernel(rows, width):
-    """Reference kernel: each bit of an RREF row besides its pivot is a
-    free column whose vector the pivot joins, walked one bit at a time."""
-    pivots = 0
-    joins = [0] * width
-    for r in rref(rows):
-        p = 1 << r.bit_length() - 1
-        pivots |= p
-        x = r ^ p
-        while x:
-            q = x.bit_length() - 1
-            joins[q] |= p
-            x ^= 1 << q
-    return [joins[col] | 1 << col for col in range(width)
-            if not pivots >> col & 1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -341,14 +288,11 @@ def test_dual_orthogonality():
 
 
 def test_three_way_equivalence():
-    g = polyf2.from_text("x^6+x^4+x^2+1")
-    example = CyclicCode.from_generators(
-        8, [RingWord.from_polys(8, g, polyf2.from_text("x^5+x"),
-                                polyf2.from_text("x^4+x^2"))])
-    assert example.is_reversible()
-    assert dual_code(example, "euclidean").is_reversible()
-    assert dual_code(example, "hermitian").is_reversible()
-    assert check_dual_reversibility_equivalence(example)
+    c = example_code()
+    assert c.is_reversible()
+    assert dual_code(c, "euclidean").is_reversible()
+    assert dual_code(c, "hermitian").is_reversible()
+    assert check_dual_reversibility_equivalence(c)
     for n in (1, 2, 4):
         assert check_dual_reversibility_equivalence(CyclicCode.zero(n))
         assert check_dual_reversibility_equivalence(CyclicCode.full(n))

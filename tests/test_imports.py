@@ -7,6 +7,7 @@ from pathlib import Path
 import dnacyclic
 
 PACKAGE = Path(dnacyclic.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_private_names_imported_across_modules():
@@ -33,3 +34,15 @@ def test_cli_import_graph_is_light():
     new = set(result.stdout.split())
     assert "dnacyclic.cli" in new
     assert new & {"dataclasses", "inspect", "pathlib"} == set()
+
+
+def test_each_test_helper_is_defined_in_one_file():
+    # A helper two test files need lives in oracles.py; a second copy
+    # elsewhere (leading underscores aside) could drift from it.
+    homes = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("test_")):
+                homes.setdefault(node.name.lstrip("_"), []).append(path.name)
+    assert {k: v for k, v in homes.items() if len(v) > 1} == {}

@@ -5,11 +5,7 @@ import pytest
 from dnacyclic import polyf2, ring
 from dnacyclic.polyr import (RingWord, all_ones, bit_reverse,
                              divides_xn_minus_1, u2_all_ones)
-
-
-def random_word(rng, n):
-    return RingWord(n, rng.randrange(1 << n), rng.randrange(1 << n),
-                    rng.randrange(1 << n))
+from oracles import G, P1, P2, random_word
 
 
 def test_layer_round_trip_random():
@@ -22,11 +18,8 @@ def test_layer_round_trip_random():
 
 
 def test_example_generator_layers():
-    g = polyf2.from_text("x^6+x^4+x^2+1")
-    p1 = polyf2.from_text("x^5+x")
-    p2 = polyf2.from_text("x^4+x^2")
-    w = RingWord.from_polys(8, g, p1, p2)
-    assert w.layers() == (g, p1, p2)
+    w = RingWord.from_polys(8, G, P1, P2)
+    assert w.layers() == (G, P1, P2)
     assert w.tokens() == "1,u,1+u2,0,1+u2,u,1,0"
 
 
@@ -70,10 +63,7 @@ def test_complement_and_rc():
 
 
 def test_reciprocal_examples():
-    g = polyf2.from_text("x^6+x^4+x^2+1")
-    p1 = polyf2.from_text("x^5+x")
-    p2 = polyf2.from_text("x^4+x^2")
-    w = RingWord.from_polys(8, g, p1, p2)
+    w = RingWord.from_polys(8, G, P1, P2)
     assert w.reciprocal() == w
     # 1 + u*x has top index 1; the reversal gives x + u
     v = RingWord.from_polys(4, 1, 2, 0)
@@ -124,8 +114,7 @@ def test_all_ones():
 
 
 def test_u2_iota_equals_u2_x1_g_at_n8():
-    g = polyf2.from_text("x^6+x^4+x^2+1")
-    w = RingWord.from_polys(8, 0, 0, polyf2.mul(polyf2.from_text("x+1"), g))
+    w = RingWord.from_polys(8, 0, 0, polyf2.mul(polyf2.from_text("x+1"), G))
     assert w == u2_all_ones(8)
 
 
@@ -136,9 +125,7 @@ def test_mul_shift_and_u2():
         w = random_word(rng, n)
         x = RingWord.from_polys(n, 2 if n > 1 else 1)
         assert x * w == w.shift(1)
-    gen = RingWord.from_polys(8, polyf2.from_text("x^6+x^4+x^2+1"),
-                              polyf2.from_text("x^5+x"),
-                              polyf2.from_text("x^4+x^2"))
+    gen = RingWord.from_polys(8, G, P1, P2)
     u2w = RingWord(8, 0, 0, 1)
     assert u2w * gen == RingWord(8, 0, 0, gen.f1)
     assert gen.scale(ring.U2) == RingWord(8, 0, 0, gen.f1)
@@ -188,9 +175,7 @@ def test_tokens_round_trip():
 
 def test_poly_text_round_trip():
     w = RingWord.from_poly_text(8, "x^6+x^4+x^2+1;x^5+x;x^4+x^2")
-    assert w.layers() == (polyf2.from_text("x^6+x^4+x^2+1"),
-                          polyf2.from_text("x^5+x"),
-                          polyf2.from_text("x^4+x^2"))
+    assert w.layers() == (G, P1, P2)
     assert w.poly_text() == "x^6+x^4+x^2+1;x^5+x;x^4+x^2"
     assert RingWord.from_poly_text(4, "x+1") == RingWord.from_polys(
         4, polyf2.from_text("x+1"))
@@ -219,9 +204,7 @@ def test_bit_reverse():
 
 def test_divides_xn_minus_1():
     # The bundled example generator divides x^8 - 1 in R.
-    gen = RingWord.from_polys(8, polyf2.from_text("x^6+x^4+x^2+1"),
-                              polyf2.from_text("x^5+x"),
-                              polyf2.from_text("x^4+x^2"))
+    gen = RingWord.from_polys(8, G, P1, P2)
     assert divides_xn_minus_1(gen)
     # (x+1) + u does not (the layer peel leaves a remainder).
     assert not divides_xn_minus_1(RingWord.from_polys(2, polyf2.from_text("x+1"), 1))
