@@ -40,9 +40,7 @@ they seed sums, intersections and duals, and the rows are rotated out
 of them only when read.  A code grown from seed rows rather than from
 words (a dual, an intersection, a u^2-subcode) builds its generators
 only when they are read, too.  A layer's lowest row is reduced once,
-against the echelon rows of the layers below it.  rref back-reduces an
-arbitrary span bit by bit; it is public, and the package itself does
-not call it.
+against the echelon rows of the layers below it.
 
 The torsion generators and the canonical presentation are read off the
 lowest basis row of each layer.  That row's layer part is the torsion
@@ -93,51 +91,6 @@ def unpack(n, v):
     return RingWord(n, (v >> 2 * n) & mask, (v >> n) & mask, v & mask)
 
 
-def _insert(pivots, v):
-    """Insert v into an echelon basis kept as a list, row or 0 per pivot bit.
-
-    v is reduced by leading bits only and stored with its own top bit as
-    pivot, so rows may still carry lower pivot bits until they are read
-    out.  The list must be at least as long as v.
-    """
-    while v:
-        p = v.bit_length() - 1
-        r = pivots[p]
-        if not r:
-            pivots[p] = v
-            return
-        v ^= r
-
-
-def rref(vectors):
-    """The RREF basis of the span of packed vectors, highest pivot first.
-
-    The echelon basis is back-reduced in one pass in ascending pivot
-    order: each row already reduced is zero at every other pivot, so a
-    row clears its lower pivot bits with one XOR per bit set there, in
-    any order.
-    """
-    vectors = list(vectors)
-    pivots = [0] * max((v.bit_length() for v in vectors), default=0)
-    for v in vectors:
-        _insert(pivots, v)
-    rows = []
-    below = 0
-    for p, v in enumerate(pivots):
-        if not v:
-            continue
-        x = v & below
-        while x:
-            q = x.bit_length() - 1
-            v ^= pivots[q]
-            x ^= 1 << q
-        pivots[p] = v
-        below |= 1 << p
-        rows.append(v)
-    rows.reverse()
-    return tuple(rows)
-
-
 @functools.lru_cache(maxsize=256)
 def _layer_tops(n, layers=3):
     """The top bit of each n-bit layer of a (layers * n)-bit vector, as one mask."""
@@ -147,17 +100,18 @@ def _layer_tops(n, layers=3):
 def _cyclic_lows(n, pivots):
     """The lowest RREF row of each layer of an x-closed span, layer 0 first.
 
-    pivots is the span's echelon basis as _insert keeps it.  x rotates
-    each n-bit layer, so the vectors of the span that are zero above
-    layer i have layer-i parts forming a cyclic code <t_i>, whose
-    nonzero members have every degree from deg t_i to n - 1 and no
-    other (Norton and Salagean, 2000).  The pivots of each layer are
-    therefore contiguous and end at the layer's top, so a layer's lowest
-    pivot follows its count of free bits; the echelon basis has the same
-    pivots as the RREF.  The lowest-pivot row of a layer is reduced
-    against the echelon rows of the layers below it, highest pivot bit
-    first: each XOR clears that bit and touches only lower ones.  An
-    empty layer's entry is 0.
+    pivots is the span's echelon basis as _x_span_lows keeps it: a row
+    or 0 per bit, each row stored with its top bit as pivot and reduced
+    by leading bits only.  x rotates each n-bit layer, so the vectors of
+    the span that are zero above layer i have layer-i parts forming a
+    cyclic code <t_i>, whose nonzero members have every degree from
+    deg t_i to n - 1 and no other (Norton and Salagean, 2000).  The
+    pivots of each layer are therefore contiguous and end at the layer's
+    top, so a layer's lowest pivot follows its count of free bits; the
+    echelon basis has the same pivots as the RREF.  The lowest-pivot row
+    of a layer is reduced against the echelon rows of the layers below
+    it, highest pivot bit first: each XOR clears that bit and touches
+    only lower ones.  An empty layer's entry is 0.
     """
     lows = [0, 0, 0]
     below = 0  # the pivot bits of the layers reduced so far
@@ -225,9 +179,10 @@ def _x_span_lows(n, seeds, layers=3):
     """The lowest RREF row of each layer of the x-closure of packed seeds.
 
     The seeds have the given number of n-bit layers, each rotated by x.
-    Each seed is inserted as _insert does, and while its stored remainder
-    is new, that remainder times x is inserted next; the chain ends at
-    the first shift already in the span.  Only the low three layers are
+    Each seed is reduced by leading bits only and stored with its own
+    top bit as pivot, and while its stored remainder is new, that
+    remainder times x is inserted next; the chain ends at the first
+    shift already in the span.  Only the low three layers are
     read: with six, as for the Zassenhaus double block, the echelon rows
     pivoting there span the closure's vectors that are zero above them.
     """
@@ -314,22 +269,28 @@ class CyclicCode:
     lows[i] is the lowest-pivot row of layer i's rows in the canonical
     basis, 0 for an empty layer.  The lows fix the whole basis (see
     rows_from_lows), so they decide equality and the dimension; the rows
-    are read from them on first use and kept.  A code grown from seed
-    rows (a dual, an intersection, a u^2-subcode) builds its generators
-    on first read as well.
+    are read from them on first use and kept.  A code given no
+    generators (a dual, an intersection, a u^2-subcode, a code built
+    from its rows) takes its basis rows, as words, for its generators,
+    built on first read as well.
     """
 
     __slots__ = ("n", "lows", "_generators", "_rows")
 
-    def __init__(self, n, rows, generators=()):
-        """The ideal whose RREF basis, highest pivot first, is rows."""
+    def __init__(self, n, rows, generators=None):
+        """The ideal whose RREF basis, highest pivot first, is rows.
+
+        generators are its generating words, or None: then the basis
+        rows, as words, are the generators, read when first asked for.
+        """
         rows = tuple(rows)
         lows = [0, 0, 0]
         for r in rows:  # a layer's last row is its lowest
             lows[2 - (r.bit_length() - 1) // n] = r
         self.n = n
         self.lows = tuple(lows)
-        self._generators = tuple(generators)
+        self._generators = (functools.partial(_row_words, n, self.lows)
+                            if generators is None else tuple(generators))
         self._rows = rows
 
     @classmethod
@@ -344,13 +305,16 @@ class CyclicCode:
         c.n = n
         c.lows = lows
         c._rows = None
-        c._generators = generators
+        c._generators = (functools.partial(_row_words, n, lows)
+                         if generators is None else generators)
         return c
 
     @classmethod
     def from_span(cls, n, vectors, generators=None):
-        """The code spanned over GF(2) by the x-closure of packed vectors,
-        which must be closed under u.
+        """The ideal generated by packed vectors: the GF(2) span of the
+        x-closure of each vector's u^2-, u- and 1-multiples, seeded in
+        that order, so the result is an ideal whether or not the vectors
+        span one.
 
         generators are its generating words, a function of no arguments
         that returns them when they are first read, or None: then the
@@ -358,23 +322,25 @@ class CyclicCode:
         """
         if generators is not None and not callable(generators):
             generators = tuple(generators)
-        return cls._of_lows(n, _x_span_lows(n, vectors), generators)
+        seeds = []
+        for v in vectors:
+            seeds += (v >> 2 * n, v >> n, v)
+        return cls._of_lows(n, _x_span_lows(n, seeds), generators)
 
     @classmethod
     def from_generators(cls, n, generators):
         """The ideal generated by the given words (the zero code for none)."""
         generators = tuple(generators)
-        seeds = []
+        vectors = []
         for w in reversed(generators):
             if w.n != n:
                 raise ValueError(f"generator length {w.n} does not match n = {n}")
-            v = pack(w)
-            seeds += (v >> 2 * n, v >> n, v)
-        return cls._of_lows(n, _x_span_lows(n, seeds), generators)
+            vectors.append(pack(w))
+        return cls.from_span(n, vectors, generators)
 
     @classmethod
     def zero(cls, n):
-        return cls(n, ())
+        return cls._of_lows(n, (0, 0, 0))
 
     @classmethod
     def full(cls, n):
@@ -394,19 +360,8 @@ class CyclicCode:
     def generators(self):
         """The generating words, as the code was built from them."""
         g = self._generators
-        if g is None:
-            g = self._generators = tuple(unpack(self.n, r) for r in self.rows)
-        elif not isinstance(g, tuple):
+        if not isinstance(g, tuple):
             g = self._generators = tuple(g())
-        return g
-
-    def _generator_source(self):
-        """What the generators are read from, holding no reference to
-        the code: a tuple of words, or a function of no arguments that
-        returns them."""
-        g = self._generators
-        if g is None:
-            return functools.partial(_row_words, self.n, self.lows)
         return g
 
     @property
@@ -530,10 +485,11 @@ class CyclicCode:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         # Each code is the x-closure of its lows; the u^2 layer goes first.
-        # The generators are joined when read, from the operands' sources.
-        sources = (self._generator_source(), other._generator_source())
-        return CyclicCode.from_span(self.n, sorted(self.lows + other.lows),
-                                    functools.partial(_joined_words, sources))
+        # The generators are joined when read, from the operands' own.
+        sources = (self._generators, other._generators)
+        return CyclicCode._of_lows(
+            self.n, _x_span_lows(self.n, sorted(self.lows + other.lows)),
+            functools.partial(_joined_words, sources))
 
     def intersect_with(self, other):
         """The code C1 ∩ C2, via the Zassenhaus double-block reduction.

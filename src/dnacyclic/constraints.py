@@ -169,13 +169,6 @@ def check_reversible_double(n, g, p1, p2, a2):
     return _reversible(_generator_facts(n, g, a2), g, p1, p2, a2)
 
 
-@functools.lru_cache(maxsize=64)
-def _not_member(verdict):
-    """verdict, unsatisfied, with the missing all-u^2 word noted."""
-    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
-    return Verdict(False, verdict.case, True, notes)
-
-
 def _rc(n, g, p1, p2, a2):
     """Reverse-complement verdict of <g + u p1 + u^2 p2, u^2 a2>; a2 None:
     one generator.  It is the reversible verdict, turned down with one
@@ -206,7 +199,8 @@ def _rc(n, g, p1, p2, a2):
     e = n & -n  # (x+1)^e = x^e + 1, e the largest power of two dividing n
     if polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e):
         return verdict
-    return _not_member(verdict)
+    notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
+    return Verdict(False, verdict.case, True, notes)
 
 
 def check_rc_single(n, g, p1, p2):

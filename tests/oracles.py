@@ -12,8 +12,8 @@ import json
 import math
 
 from dnacyclic import constraints, polyf2
-from dnacyclic.code import CyclicCode, pack, rref
-from dnacyclic.constraints import _not_member
+from dnacyclic.code import CyclicCode, pack
+from dnacyclic.constraints import Verdict
 from dnacyclic.polyr import RingWord, divides_xn_minus_1
 
 # The bundled n = 8 example, <G + u P1 + u^2 P2>: reversible and rc-closed.
@@ -111,9 +111,13 @@ def u2_all_ones_member(n, g, p1, p2, a2):
 
 
 def with_membership(verdict, n, g, p1, p2, a2):
+    """verdict, turned down with one more note when the hypotheses hold
+    and the all-u^2 word is not a codeword."""
     if not verdict.hypothesis_ok or u2_all_ones_member(n, g, p1, p2, a2):
         return verdict
-    return _not_member(verdict)
+    notes = "; ".join(filter(None, [verdict.notes,
+                                    "all-u2 word is not a codeword"]))
+    return Verdict(False, verdict.case, True, notes)
 
 
 def search_family_gap(n, require):
@@ -186,18 +190,38 @@ def span(vectors):
 
 
 def reference_rref(vectors):
-    """Plain Gauss-Jordan elimination, highest pivot first."""
-    rows = {}
+    """The RREF basis of the span of packed vectors, highest pivot first.
+
+    Each vector is reduced by leading bits only and stored with its own
+    top bit as pivot.  The echelon basis is then back-reduced in one pass
+    in ascending pivot order: each row already reduced is zero at every
+    other pivot, so a row clears its lower pivot bits with one XOR per
+    bit set there, in any order.
+    """
+    vectors = list(vectors)
+    pivots = [0] * max((v.bit_length() for v in vectors), default=0)
     for v in vectors:
-        while v and v.bit_length() - 1 in rows:
-            v ^= rows[v.bit_length() - 1]
-        if v:
-            rows[v.bit_length() - 1] = v
-    for p in sorted(rows, reverse=True):
-        for q in rows:
-            if q != p and rows[q] >> p & 1:
-                rows[q] ^= rows[p]
-    return tuple(rows[p] for p in sorted(rows, reverse=True))
+        while v:
+            p = v.bit_length() - 1
+            if not pivots[p]:
+                pivots[p] = v
+                break
+            v ^= pivots[p]
+    rows = []
+    below = 0
+    for p, v in enumerate(pivots):
+        if not v:
+            continue
+        x = v & below
+        while x:
+            q = x.bit_length() - 1
+            v ^= pivots[q]
+            x ^= 1 << q
+        pivots[p] = v
+        below |= 1 << p
+        rows.append(v)
+    rows.reverse()
+    return tuple(rows)
 
 
 def expansion_rref(n, gens):
@@ -211,10 +235,11 @@ def expansion_rref(n, gens):
 
 
 def zassenhaus_rows(a, b):
-    """The RREF of C1 ∩ C2: rref of the double block (c1 | c1), (c2 | 0),
-    keeping the rows whose top block is zero."""
+    """The RREF of C1 ∩ C2: the RREF of the double block (c1 | c1),
+    (c2 | 0), keeping the rows whose top block is zero."""
     w = 3 * a.n
-    both = rref([r << w | r for r in a.rows] + [r << w for r in b.rows])
+    both = reference_rref([r << w | r for r in a.rows]
+                          + [r << w for r in b.rows])
     return tuple(r for r in both if r >> w == 0)
 
 
@@ -223,7 +248,7 @@ def per_bit_kernel(rows, width):
     free column whose vector the pivot joins, walked one bit at a time."""
     pivots = 0
     joins = [0] * width
-    for r in rref(rows):
+    for r in reference_rref(rows):
         p = 1 << r.bit_length() - 1
         pivots |= p
         x = r ^ p
@@ -250,7 +275,7 @@ def three_equation_dual(c, flavor):
         masks.append(g3 << 2 * n | g2 << n | g1)
     if flavor == "hermitian":
         masks.append(mask << 2 * n)
-    pivots = {r.bit_length() - 1: r for r in rref(masks)}
+    pivots = {r.bit_length() - 1: r for r in reference_rref(masks)}
     kernel = []
     for col in range(3 * n):
         if col in pivots:
@@ -260,7 +285,7 @@ def three_equation_dual(c, flavor):
             if (r >> col) & 1:
                 v |= 1 << p
         kernel.append(v)
-    return rref(kernel)
+    return reference_rref(kernel)
 
 
 def socle_distance(rows):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from dnacyclic import cli, polyf2
 from dnacyclic.code import (CyclicCode, DEFAULT_ENUM_CAP, Presentation,
-                            _torsion, pack, rref, unpack)
+                            _torsion, pack, unpack)
 from dnacyclic.constraints import Verdict, check_rc_single
+from dnacyclic.dual import FLAVORS, dual_code
 from dnacyclic.polyf2 import CapExceeded
 from dnacyclic.polyr import RingWord, u2_all_ones
 from oracles import (G, P1, P2, candidate_code, example_code,
@@ -157,7 +158,7 @@ def test_sum_and_intersection():
         s = c1.sum_with(c2)
         i = c1.intersect_with(c2)
         assert c1.dim + c2.dim == s.dim + i.dim
-        assert i.rows == rref(i.rows)
+        assert i.rows == reference_rref(i.rows)
         for r in i.rows:
             w = unpack(n, r)
             assert c1.contains(w) and c2.contains(w)
@@ -475,39 +476,6 @@ def test_algebraic_decisions_match_exhaustive_walk(low, high, count):
     assert all(seen == {True, False} for seen in verdicts.values())
 
 
-@st.composite
-def vector_lists(draw):
-    """Up to 40 ints below 2^200, with zeros, duplicates and sums of
-    earlier entries drawn on purpose."""
-    top = (1 << draw(st.integers(1, 200))) - 1
-    vs = []
-    for _ in range(draw(st.integers(0, 40))):
-        kind = draw(st.sampled_from(("fresh", "zero", "duplicate", "sum")))
-        if kind == "zero":
-            vs.append(0)
-        elif kind == "fresh" or not vs:
-            vs.append(draw(st.integers(0, top)))
-        elif kind == "duplicate":
-            vs.append(draw(st.sampled_from(vs)))
-        else:
-            vs.append(draw(st.sampled_from(vs)) ^ draw(st.sampled_from(vs)))
-    return vs
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(vector_lists())
-@example([])
-@example([0, 0])
-@example([0b11, 0b1])
-@example([0b1011, 0b0110, 0b1101, 0b0011])
-def test_rref_is_reduced_echelon(vs):
-    # Inserts keep only an echelon form; the RREF comes from the one
-    # back-reduction when the rows are read out.
-    rows = rref(vs)
-    assert rows == reference_rref(vs)
-    assert rref(rows) == rows
-
-
 def words_of_length(n):
     layer = st.integers(0, (1 << n) - 1)
     return st.one_of(
@@ -565,7 +533,7 @@ def test_sum_is_rref_of_both_bases(case):
     for k in range(len(gens) + 1):
         a = CyclicCode.from_generators(n, gens[:k])
         b = CyclicCode.from_generators(n, gens[k:])
-        assert a.sum_with(b).rows == rref(a.rows + b.rows)
+        assert a.sum_with(b).rows == reference_rref(a.rows + b.rows)
 
 
 def all_rows_reversible(c):
@@ -741,15 +709,58 @@ def test_grown_codes_read_their_rows_as_generators(case, rows_first):
 
 @pytest.mark.parametrize("rows_first", [False, True])
 def test_span_without_generators_reads_its_rows_as_generators(rows_first):
-    # The seeds 1, u and u^2 x-generate the whole ideal R^4; with no
+    # The seeds 1, u and u^2 x-generate the whole ideal R^4, and so does
+    # 1 alone, whose u-multiples the span seeds itself; with no
     # generators given, its basis rows as words generate it again.
     v = pack(RingWord(4, 1))
-    c = CyclicCode.from_span(4, [v >> 8, v >> 4, v])
-    if rows_first:
-        assert len(c.rows) == 12
-    assert c.dim == 12
-    assert c.generators == tuple(unpack(4, r) for r in c.rows)
-    assert CyclicCode.from_generators(4, c.generators) == c
+    for seeds in ([v >> 8, v >> 4, v], [v]):
+        c = CyclicCode.from_span(4, seeds)
+        if rows_first:
+            assert len(c.rows) == 12
+        assert c == CyclicCode.full(4)
+        assert c.generators == tuple(unpack(4, r) for r in c.rows)
+        assert CyclicCode.from_generators(4, c.generators) == c
+
+
+@st.composite
+def built_codes(draw):
+    """A code from one of the public constructors, on drawn inputs."""
+    n, gens = draw(generator_sets())
+    c = CyclicCode.from_generators(n, gens)
+    kind = draw(st.sampled_from(
+        ("rows", "span", "generators", "zero", "full", "sum", "intersect",
+         "u2", "euclidean", "hermitian")))
+    if kind == "rows":
+        return CyclicCode(n, c.rows)
+    if kind == "span":
+        vectors = st.integers(0, (1 << 3 * n) - 1)
+        return CyclicCode.from_span(n, draw(st.lists(vectors, max_size=4)))
+    if kind == "generators":
+        return c
+    if kind == "zero":
+        return CyclicCode.zero(n)
+    if kind == "full":
+        return CyclicCode.full(n)
+    if kind == "u2":
+        return c.u2_subcode()
+    if kind in FLAVORS:
+        return dual_code(c, kind)
+    other = CyclicCode.from_generators(
+        n, draw(st.lists(words_of_length(n), max_size=3)))
+    return c.sum_with(other) if kind == "sum" else c.intersect_with(other)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(built_codes())
+@example(CyclicCode.from_span(4, [pack(RingWord(4, 1))]))
+@example(CyclicCode(4, CyclicCode.full(4).rows))
+def test_every_code_is_the_ideal_its_generators_generate(c):
+    # Whatever built it, a code is an ideal: its lows x-generate it, so
+    # it is closed under u when u times each low lies in it.  And its
+    # generators generate it again.
+    n = c.n
+    assert all(c.contains(unpack(n, low >> n)) for low in c.lows)
+    assert CyclicCode.from_generators(n, c.generators) == c
 
 
 def test_intersection_at_the_length_bound():

@@ -428,9 +428,9 @@ def test_sum_joins_its_operands_generators_when_read():
         s = a.sum_with(b)
         dual, rows = ops["dual"], ops["rows"]
         assert not isinstance(dual._generators, tuple)
-        assert rows._generators is None and rows._rows is None
+        assert not isinstance(rows._generators, tuple) and rows._rows is None
         gens = s.generators
         assert not isinstance(dual._generators, tuple)
-        assert rows._generators is None and rows._rows is None
+        assert not isinstance(rows._generators, tuple) and rows._rows is None
         assert gens == a.generators + b.generators
         assert CyclicCode.from_generators(n, gens) == s

@@ -10,17 +10,38 @@ PACKAGE = Path(dnacyclic.__file__).parent
 TESTS = Path(__file__).parent
 
 
+def private_package_imports(path):
+    """module.name for each _-prefixed name the file imports from the
+    package, absolutely or relatively."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("dnacyclic"):
+            continue
+        names += [f"{node.module}.{alias.name}"
+                  for alias in node.names if alias.name.startswith("_")]
+    return names
+
+
 def test_no_private_names_imported_across_modules():
-    offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if node.level == 0 and not (node.module or "").startswith("dnacyclic"):
-                continue
-            offenders += [f"{path.name}: {node.module}.{alias.name}"
-                          for alias in node.names if alias.name.startswith("_")]
+    offenders = [f"{path.name}: {name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for name in private_package_imports(path)]
     assert offenders == []
+
+
+def test_oracles_use_only_public_names():
+    # A reference that calls the package's private helpers checks the
+    # package against itself.  Test files that unit-test one private
+    # helper may still import it.
+    path = TESTS / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private_reads = [node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr.startswith("_")
+                     and not node.attr.startswith("__")]
+    assert private_package_imports(path) + private_reads == []
 
 
 def test_cli_import_graph_is_light():
