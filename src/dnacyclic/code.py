@@ -13,10 +13,12 @@ quantity deterministic.
 
 Multiplication by x rotates each n-bit layer of the packed integer by
 one place, and every span the package builds is closed under x: a code,
-a sum or intersection of codes, and a dual.  One routine, _x_span_lows,
+a sum or intersection of codes, and a dual.  One routine, x_span_lows,
 builds each of them as the x-closure of a few seed rows; for the
 intersection those are both codes' lowest rows in the Zassenhaus double
-block, a 6n-bit vector whose two halves x rotates alike.  The routine
+block, a 6n-bit vector whose two halves x rotates alike, and for the
+dual the top bit of each layer next to its parities against the code,
+one layer per equation row (see the dual module).  The routine
 keeps a plain echelon form, reducing each inserted vector by leading
 bits only.
 The span built from earlier seeds is closed under x, so a seed's chain
@@ -100,7 +102,7 @@ def _layer_tops(n, layers=3):
 def _cyclic_lows(n, pivots):
     """The lowest RREF row of each layer of an x-closed span, layer 0 first.
 
-    pivots is the span's echelon basis as _x_span_lows keeps it: a row
+    pivots is the span's echelon basis as x_span_lows keeps it: a row
     or 0 per bit, each row stored with its top bit as pivot and reduced
     by leading bits only.  x rotates each n-bit layer, so the vectors of
     the span that are zero above layer i have layer-i parts forming a
@@ -175,7 +177,7 @@ def _joined_words(sources):
     return [w for s in sources for w in (s if isinstance(s, tuple) else s())]
 
 
-def _x_span_lows(n, seeds, layers=3):
+def x_span_lows(n, seeds, layers=3):
     """The lowest RREF row of each layer of the x-closure of packed seeds.
 
     The seeds have the given number of n-bit layers, each rotated by x.
@@ -183,8 +185,9 @@ def _x_span_lows(n, seeds, layers=3):
     top bit as pivot, and while its stored remainder is new, that
     remainder times x is inserted next; the chain ends at the first
     shift already in the span.  Only the low three layers are
-    read: with six, as for the Zassenhaus double block, the echelon rows
-    pivoting there span the closure's vectors that are zero above them.
+    read: with more, as for the Zassenhaus double block or a dual's
+    graph, the echelon rows pivoting there span the closure's vectors
+    that are zero above them.
     """
     tops = _layer_tops(n, layers)
     pivots = [0] * (layers * n)
@@ -278,54 +281,39 @@ class CyclicCode:
     __slots__ = ("n", "lows", "_generators", "_rows")
 
     def __init__(self, n, rows, generators=None):
-        """The ideal whose RREF basis, highest pivot first, is rows.
+        """The ideal with the given rows, each layer's last nonzero row
+        being its lowest RREF row: its whole RREF basis, highest pivot
+        first, or just its lows.  The rows are rotated out of the lows
+        when first read.
 
-        generators are its generating words, or None: then the basis
-        rows, as words, are the generators, read when first asked for.
-        """
-        rows = tuple(rows)
-        lows = [0, 0, 0]
-        for r in rows:  # a layer's last row is its lowest
-            lows[2 - (r.bit_length() - 1) // n] = r
-        self.n = n
-        self.lows = tuple(lows)
-        self._generators = (functools.partial(_row_words, n, self.lows)
-                            if generators is None else tuple(generators))
-        self._rows = rows
-
-    @classmethod
-    def _of_lows(cls, n, lows, generators=None):
-        """The code with the given lows; its rows are built when first read.
-
-        generators is a tuple of words, a function of no arguments that
-        returns them, called when they are first read, or None: then the
+        generators are its generating words, a function of no arguments
+        that returns them when they are first read, or None: then the
         basis rows, as words, are the generators.
         """
-        c = cls.__new__(cls)
-        c.n = n
-        c.lows = lows
-        c._rows = None
-        c._generators = (functools.partial(_row_words, n, lows)
-                         if generators is None else generators)
-        return c
+        lows = [0, 0, 0]
+        for r in rows:
+            if r:
+                lows[2 - (r.bit_length() - 1) // n] = r
+        self.n = n
+        self.lows = lows = tuple(lows)
+        if generators is None:
+            generators = functools.partial(_row_words, n, lows)
+        elif not callable(generators):
+            generators = tuple(generators)
+        self._generators = generators
+        self._rows = None
 
     @classmethod
     def from_span(cls, n, vectors, generators=None):
         """The ideal generated by packed vectors: the GF(2) span of the
         x-closure of each vector's u^2-, u- and 1-multiples, seeded in
         that order, so the result is an ideal whether or not the vectors
-        span one.
-
-        generators are its generating words, a function of no arguments
-        that returns them when they are first read, or None: then the
-        basis rows, as words, are the generators.
+        span one.  generators are as the constructor takes them.
         """
-        if generators is not None and not callable(generators):
-            generators = tuple(generators)
         seeds = []
         for v in vectors:
             seeds += (v >> 2 * n, v >> n, v)
-        return cls._of_lows(n, _x_span_lows(n, seeds), generators)
+        return cls(n, x_span_lows(n, seeds), generators)
 
     @classmethod
     def from_generators(cls, n, generators):
@@ -340,7 +328,7 @@ class CyclicCode:
 
     @classmethod
     def zero(cls, n):
-        return cls._of_lows(n, (0, 0, 0))
+        return cls(n, ())
 
     @classmethod
     def full(cls, n):
@@ -487,8 +475,8 @@ class CyclicCode:
         # Each code is the x-closure of its lows; the u^2 layer goes first.
         # The generators are joined when read, from the operands' own.
         sources = (self._generators, other._generators)
-        return CyclicCode._of_lows(
-            self.n, _x_span_lows(self.n, sorted(self.lows + other.lows)),
+        return CyclicCode(
+            self.n, x_span_lows(self.n, sorted(self.lows + other.lows)),
             functools.partial(_joined_words, sources))
 
     def intersect_with(self, other):
@@ -505,7 +493,7 @@ class CyclicCode:
         # The u^2 layer goes first, as for a sum.
         seeds = sorted([r << w | r for r in self.lows if r]
                        + [r << w for r in other.lows if r])
-        return CyclicCode._of_lows(self.n, _x_span_lows(self.n, seeds, 6))
+        return CyclicCode(self.n, x_span_lows(self.n, seeds, 6))
 
     def report_json(self, cap=None):
         """Summary report of the code as a JSON-ready dict."""
@@ -528,7 +516,7 @@ class CyclicCode:
         With the chosen packing these are spanned by exactly the basis
         rows whose pivot lies below bit n, whose lowest row is layer 2's.
         """
-        return CyclicCode._of_lows(self.n, (0, 0, self.lows[2]))
+        return CyclicCode(self.n, (self.lows[2],))
 
     def torsion_generator(self, i):
         """Monic minimum-degree generator of the torsion code T_i.

@@ -13,19 +13,20 @@ parity equation per codeword of a GF(2) basis.  For an unknown word v
 and a codeword b, write c0, c1, c2 for the unit, u and u^2 layers of
 <v, b>.  Then c2(v, u*b) = c1(v, b) and c2(v, u^2*b) = c0(v, b), and a
 code is an ideal, hence closed under u; so the u^2-layer equations
-against the basis rows already imply the other two layers.  The
-solution space is the dual ideal itself, since the orthogonal space of
-an ideal and the Hermitian extra equation are both invariant under x
-and u.  A row's equation is parity(v & swap(b)) = 0, with swap
-exchanging the outer layers; that is parity(swap(v) & b) = 0, so the
-dual is swap(K) for K the plain GF(2) kernel of the code's own basis
-rows, plus, for the Hermitian flavor, the all-u^2 word, which the swap
-takes to the Hermitian equation.  That word joins the code's lowest
-rows as one reduced row.  K is closed under x, whose adjoint is x^-1:
-it has one vector per free column of the rows' RREF, and each layer's
-top free column gets its vector from one pass over the rows as they are
-rotated out of the lowest rows, with no row kept.  Those at most three
-top vectors, swapped, seed the dual code: one x-closure per dual.  The
+against a basis already imply the other two layers.  The solution
+space is the dual ideal itself, since the orthogonal space of an ideal
+and the Hermitian extra equation are both invariant under x and u.  A
+codeword's equation is parity(v & swap(b)) = 0, with swap exchanging
+the outer layers, and the rotations x^k l of the code's lowest rows l
+span the code; the Hermitian equation is parity(v & swap(J)) for the
+all-u^2 word J, which x fixes.  So the equations are
+parity(v & x^k s) = 0 for each s among the swapped lows (and swap(J))
+and each k.  Their parities, one n-bit layer per s, rotate when v does
+(x's adjoint is x^-1), so the graph of v and its parities is closed
+under x on all its layers.  It is the x-closure of its three seeds,
+the top bit of each of v's layers with its parities, and its vectors
+with no parity set are the dual: one x-closure per dual, its lows read
+as an intersection's are, and no row of the code rotated out.  The
 dual's generators are its basis rows as words, built when first read.
 dual_brute filters every word of R^n by definitional inner products
 against every codeword and exists solely as an independent oracle for
@@ -35,7 +36,7 @@ small n.
 from __future__ import annotations
 
 from . import polyf2
-from .code import CyclicCode, rows_from_lows, unpack
+from .code import CyclicCode, unpack, x_span_lows
 
 FLAVORS = ("euclidean", "hermitian")
 
@@ -62,74 +63,34 @@ def inner_hermitian(x, y):
     return inner_euclidean(x, y.complement())
 
 
-def _kernel_tops(c, flavor):
-    """Each layer's top free-column vector of K, u^2 block first.
-
-    K is the plain GF(2) orthogonal complement of c's basis rows, plus,
-    for the Hermitian flavor, the all-u^2 word.  It has one vector per
-    free (non-pivot) column of their RREF: the column's bit plus the
-    pivot of each row with a bit in that column.  The free columns of
-    each layer are the bits below its lowest pivot, so each layer's top
-    one's vector comes from one pass over the rows as they are rotated
-    out of the lows; no row is kept.
-
-    The all-u^2 word J joins as one row.  Reduced by the u^2-layer rows
-    it is z = J mod t2, with t2 layer 2's lowest row (J itself for the
-    zero code, where t2 = 0).  z is 0 when c holds J; otherwise its
-    pivot lies below t2's and it becomes layer 2's lowest row.  Its
-    other bits lie below every pivot, so adding it to each upper lowest
-    row with a bit at that pivot reduces the lows again.  J is fixed by
-    x, so the extended span stays x-closed.
-    """
-    n = c.n
-    l0, l1, l2 = c.lows
-    if flavor == "hermitian":
-        ones = polyf2.all_ones(n)
-        z = polyf2.mod(ones, l2) if l2 else ones
-        if z:
-            pivot = 1 << z.bit_length() - 1
-            if l0 & pivot:
-                l0 ^= z
-            if l1 & pivot:
-                l1 ^= z
-            l2 = z
-    lows = (l0, l1, l2)
-    tops = []
-    columns = 0
-    for block in range(3):
-        low = lows[2 - block]
-        f = low.bit_length() - 2 if low else (block + 1) * n - 1
-        if f >= block * n:
-            tops.append([f, 1 << f])
-            columns |= 1 << f
-    if columns:
-        for r in rows_from_lows(n, lows):
-            if r & columns:
-                for top in tops:
-                    if r >> top[0] & 1:
-                        top[1] |= 1 << r.bit_length() - 1
-    return [v for _, v in tops]
-
-
 def dual_code(c, flavor="euclidean"):
-    """The dual code, grown from the swapped top vectors of K.
+    """The dual code, read off the graph of its parity equations.
 
-    parity(v & swap(b)) = parity(swap(v) & b), so the dual is swap(K),
-    with K as _kernel_tops reads it.  x permutes the bits with x^-1 as
-    its adjoint, so K is closed under x and x^-1.  A lower free column's
-    vector is the one above it times x^-1 plus, at most, the top vectors
-    whose columns that sets, so the top vectors x-generate K, and their
-    swaps, the swap commuting with x, x-generate the dual.  Its
-    generators are its basis rows as words, built when first read.
+    v lies in the dual when parity(v & x^k s) = 0 for every k and every
+    s among the swaps of c's nonzero lows, plus swap(J) for the
+    Hermitian flavor.  Let L(v) hold those parities, one n-bit layer per
+    s with bit k in it; x's adjoint is x^-1, so L(x v) is L(v) rotated.
+    The graph {(L(v) | v)} is then the x-closure of its three seeds
+    (L(e) | e), e the top bit of each layer of v, and its vectors with a
+    zero L half are (0 | v) for v in the dual.
     """
     _check_flavor(flavor)
     n = c.n
     mask = (1 << n) - 1
-    # The swapped top of K's unit layer lies in the dual's u^2 layer, so
-    # it goes first.
-    seeds = [(v & mask) << 2 * n | (v >> n & mask) << n | v >> 2 * n
-             for v in reversed(_kernel_tops(c, flavor))]
-    return CyclicCode.from_span(n, seeds)
+    rows = [low for low in c.lows if low]  # each s, unswapped
+    if flavor == "hermitian":
+        rows.append(polyf2.all_ones(n))
+    seeds = []
+    for block in range(3):
+        # Bit k of a parity layer is parity(e & x^k s), e this block's
+        # top bit: bit n - 1 - k of s's part in the block, which is the
+        # unswapped row's part in block 2 - block.
+        seed = 1 << block * n + n - 1
+        for layer, row in enumerate(rows, start=3):
+            part = row >> (2 - block) * n & mask
+            seed |= polyf2.bit_reverse(part, n) << layer * n
+        seeds.append(seed)
+    return CyclicCode(n, x_span_lows(n, sorted(seeds), 3 + len(rows)))
 
 
 def dual_brute(c, flavor="euclidean"):

@@ -260,6 +260,12 @@ def per_bit_kernel(rows, width):
             if not pivots >> col & 1]
 
 
+def swap_layers(n, v):
+    """The packed 3n-bit word v with its unit and u^2 layers exchanged."""
+    mask = (1 << n) - 1
+    return (v & mask) << 2 * n | v & mask << n | v >> 2 * n
+
+
 def three_equation_dual(c, flavor):
     """RREF rows of the dual, solved with all three layer equations per
     basis row and a column-scan kernel."""

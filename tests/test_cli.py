@@ -604,15 +604,29 @@ LONG_SPEC = json.dumps({
     "n": 1024,
     "generators": [{"f2": "x^512+1", "u": "x^3+x", "u2": "x^7+1"}],
 })
+# The full and the zero code at the bound, whose duals' closures insert
+# the most vectors for the fewest basis rows.
+FULL_LONG_SPEC = json.dumps({"n": 1024, "generators": [{"f2": "1"}]})
+ZERO_LONG_SPEC = json.dumps({"n": 1024, "generators": []})
 
 
-@pytest.mark.parametrize("flavor, sha1", [
-    ("hermitian", "cf68ca426e72df295c20ba48fb13ea37c0d9081b"),
-    ("euclidean", "89d7166810e73860f1627a6a359f9db1f966a1e6"),
+@pytest.mark.parametrize("spec, flavor, sha1", [
+    pytest.param(spec, flavor, sha1, id=f"{flavor}-{sha1}")
+    for spec, flavor, sha1 in [
+        (LONG_SPEC, "hermitian", "cf68ca426e72df295c20ba48fb13ea37c0d9081b"),
+        (LONG_SPEC, "euclidean", "89d7166810e73860f1627a6a359f9db1f966a1e6"),
+        (FULL_LONG_SPEC, "hermitian",
+         "cacd45e43fcf6f8018523b05d6641ffff88bcb1c"),
+        (FULL_LONG_SPEC, "euclidean",
+         "73301a1bb0c5035aedac91b6e576cc359894bcab"),
+        (ZERO_LONG_SPEC, "hermitian",
+         "95979b555bf76cd1c0f09fa6258900dd490e5368"),
+        (ZERO_LONG_SPEC, "euclidean",
+         "45a531813d6651eebd81b352e7c347fe98049189"),
+    ]
 ])
-def test_dual_stdout_is_pinned_at_the_length_bound(capsys, flavor, sha1):
-    code, out, _ = run(capsys,
-                       ["dual", "--spec", LONG_SPEC, "--flavor", flavor])
+def test_dual_stdout_is_pinned_at_the_length_bound(capsys, spec, flavor, sha1):
+    code, out, _ = run(capsys, ["dual", "--spec", spec, "--flavor", flavor])
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 

@@ -728,10 +728,12 @@ def built_codes(draw):
     n, gens = draw(generator_sets())
     c = CyclicCode.from_generators(n, gens)
     kind = draw(st.sampled_from(
-        ("rows", "span", "generators", "zero", "full", "sum", "intersect",
-         "u2", "euclidean", "hermitian")))
+        ("rows", "lows", "span", "generators", "zero", "full", "sum",
+         "intersect", "u2", "euclidean", "hermitian")))
     if kind == "rows":
         return CyclicCode(n, c.rows)
+    if kind == "lows":
+        return CyclicCode(n, c.lows)
     if kind == "span":
         vectors = st.integers(0, (1 << 3 * n) - 1)
         return CyclicCode.from_span(n, draw(st.lists(vectors, max_size=4)))
@@ -754,13 +756,16 @@ def built_codes(draw):
 @given(built_codes())
 @example(CyclicCode.from_span(4, [pack(RingWord(4, 1))]))
 @example(CyclicCode(4, CyclicCode.full(4).rows))
+@example(CyclicCode(4, (0, 0, pack(RingWord(4, 0, 0, 1)))))
 def test_every_code_is_the_ideal_its_generators_generate(c):
     # Whatever built it, a code is an ideal: its lows x-generate it, so
     # it is closed under u when u times each low lies in it.  And its
-    # generators generate it again.
+    # generators generate it again, and its lows alone, empty layers'
+    # zeros included, give it the same basis.
     n = c.n
     assert all(c.contains(unpack(n, low >> n)) for low in c.lows)
     assert CyclicCode.from_generators(n, c.generators) == c
+    assert CyclicCode(n, c.lows).rows == c.rows
 
 
 def test_intersection_at_the_length_bound():

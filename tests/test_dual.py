@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from dnacyclic import polyf2, ring
 from dnacyclic.code import CyclicCode, Presentation, unpack
-from dnacyclic.dual import (FLAVORS, _kernel_tops,
-                            check_dual_reversibility_equivalence, dual_brute,
-                            dual_code, inner_euclidean, inner_hermitian,
-                            verify_dual_divisibility)
+from dnacyclic.dual import (FLAVORS, check_dual_reversibility_equivalence,
+                            dual_brute, dual_code, inner_euclidean,
+                            inner_hermitian, verify_dual_divisibility)
 from dnacyclic.polyr import RingWord, u2_all_ones
 from oracles import (example_code, per_bit_kernel, random_code, random_word,
-                     three_equation_dual)
+                     reference_rref, swap_layers, three_equation_dual)
 
 
 def naive_euclidean(x, y):
@@ -114,9 +113,10 @@ def test_dual_matches_brute():
 
 
 # Codes whose u-layer (first) or unit-layer (second) lowest row has a
-# bit at the pivot of the reduced all-u^2 row, which itself has the bit
-# just below that pivot, the top free column of the u^2 layer: the
-# Hermitian kernel is wrong unless that lowest row is cleared there.
+# bit at the pivot of the all-u^2 row reduced by the code's basis, which
+# itself has the bit just below that pivot, the top free column of the
+# u^2 layer: a Hermitian kernel read off the lows alone is wrong unless
+# that lowest row is cleared there.
 UPPER_LOWS_AT_THE_HERMITIAN_PIVOT = [
     (14, [RingWord.from_poly_text(14, "0;x^5+x^2+x+1;x^4+x^3+x^2+x"),
           RingWord.from_poly_text(14, "0;0;x^5+x^2+x+1")]),
@@ -183,21 +183,19 @@ def test_dual_matches_three_equation_reference(case):
 @example(UPPER_LOWS_AT_THE_HERMITIAN_PIVOT[0])
 @example(UPPER_LOWS_AT_THE_HERMITIAN_PIVOT[1])
 def test_kernel_matches_per_bit_walk(case):
-    # _kernel_tops reads each layer's top kernel vector off the code's
-    # lows; the reference walks the RREF of every basis row, plus the
-    # all-u^2 word for the Hermitian flavor.  Its vectors come in
-    # ascending column order, a vector's column being its lowest bit, so
-    # the last one of each layer is that layer's top.
+    # parity(v & swap(b)) = parity(swap(v) & b), so the dual is swap(K)
+    # for K the plain GF(2) kernel of c's basis rows, plus the all-u^2
+    # word for the Hermitian flavor; the reference walks K one free
+    # column at a time.
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
     for flavor in FLAVORS:
         rows = list(c.rows)
         if flavor == "hermitian":
             rows.append((1 << n) - 1)
-        tops = {}
-        for v in per_bit_kernel(rows, 3 * n):
-            tops[((v & -v).bit_length() - 1) // n] = v
-        assert _kernel_tops(c, flavor) == [tops[b] for b in sorted(tops)]
+        kernel = per_bit_kernel(rows, 3 * n)
+        assert dual_code(c, flavor).rows == reference_rref(
+            swap_layers(n, v) for v in kernel)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -206,7 +204,7 @@ def test_kernel_matches_per_bit_walk(case):
                RingWord.from_poly_text(21, "0;x^7+1;x^5")]))
 @example((9, [RingWord(9, 1)]))
 def test_dual_generators_are_its_rows_as_words(case):
-    # The dual is grown from the kernel's top vectors; its generators,
+    # The dual is read off one x-closure as its lows; its generators,
     # built on first read, are its basis rows as words, and the dual is
     # the same whether its rows or its dimension is read first.
     n, gens = case

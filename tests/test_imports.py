@@ -10,25 +10,57 @@ PACKAGE = Path(dnacyclic.__file__).parent
 TESTS = Path(__file__).parent
 
 
-def private_package_imports(path):
-    """module.name for each _-prefixed name the file imports from the
+def package_imports(tree):
+    """{local name: module.name} for each name the tree imports from the
     package, absolutely or relatively."""
-    names = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    names = {}
+    for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
         if node.level == 0 and not (node.module or "").startswith("dnacyclic"):
             continue
-        names += [f"{node.module}.{alias.name}"
-                  for alias in node.names if alias.name.startswith("_")]
+        for alias in node.names:
+            names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
     return names
+
+
+def private_package_imports(path):
+    """module.name for each _-prefixed name the file imports from the
+    package, absolutely or relatively."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [name for name in package_imports(tree).values()
+            if name.rpartition(".")[2].startswith("_")]
+
+
+def private_reads_through_imports(source):
+    """name._attr for each private attribute the source reads through a
+    name it imports from the package, such as CyclicCode._rows."""
+    tree = ast.parse(source)
+    imported = package_imports(tree)
+    return [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")]
 
 
 def test_no_private_names_imported_across_modules():
     offenders = [f"{path.name}: {name}"
                  for path in sorted(PACKAGE.glob("*.py"))
-                 for name in private_package_imports(path)]
+                 for name in private_package_imports(path)
+                 + private_reads_through_imports(
+                     path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+def test_private_reads_through_imports_are_found():
+    source = ("from .code import CyclicCode\n"
+              "from . import polyf2 as pf\n"
+              "c = CyclicCode._of_lows(4, (0, 0, 1))\n"
+              "d = pf._private(c.lows, c._rows, CyclicCode.__name__)\n")
+    assert private_reads_through_imports(source) == [
+        "CyclicCode._of_lows", "pf._private"]
 
 
 def test_oracles_use_only_public_names():
