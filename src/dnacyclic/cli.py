@@ -15,7 +15,9 @@ and `ring.token`.
 
 `main(argv)` may be called repeatedly in one process: the argument
 parser is built on the first call and reused, as parsing keeps no state
-in it.
+in it.  A call that names its command goes straight to that command's
+subparser; any other call, or one with arguments left over, falls back
+to the full parser, so help, errors and exit codes are the same.
 
 Exit codes: 0 success, 1 check failed (property not satisfied),
 2 input error, 3 cap exceeded.  A reader that closes stdout early (as
@@ -340,11 +342,16 @@ def _build_parser():
         description="Cyclic codes over the 8-element ring GF(2)[u]/(u^3) "
                     "with DNA codon mapping.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("table2", help="emit the bundled reference DNA catalog")
+    def command(name, **kwargs):
+        commands[name] = p = sub.add_parser(name, **kwargs)
+        return p
+
+    p = command("table2", help="emit the bundled reference DNA catalog")
     p.set_defaults(func=_cmd_table2)
 
-    p = sub.add_parser("check", help="certify reverse / reverse-complement closure")
+    p = command("check", help="certify reverse / reverse-complement closure")
     p.add_argument("--spec", required=True, help="JSON code spec (inline or file)")
     p.add_argument("--mode", choices=("reversible", "rc"), default="rc")
     p.add_argument("--method", choices=("theorem", "oracle", "both"),
@@ -353,7 +360,7 @@ def _build_parser():
                    help=f"enumeration dimension cap (default {DEFAULT_ENUM_CAP})")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("search", help="catalog codes passing a closure constraint")
+    p = command("search", help="catalog codes passing a closure constraint")
     p.add_argument("--n", type=int, required=True, help="even code length")
     p.add_argument("--min-distance", type=int, default=0)
     p.add_argument("--require", choices=("rc", "reversible"), default="rc")
@@ -362,31 +369,41 @@ def _build_parser():
                    help="candidate budget before truncation")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("dual", help="dual code report")
+    p = command("dual", help="dual code report")
     p.add_argument("--spec", required=True)
     p.add_argument("--flavor", choices=dual.FLAVORS, default="euclidean")
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("distance", help="minimum Hamming distance")
+    p = command("distance", help="minimum Hamming distance")
     p.add_argument("--spec", required=True)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("enumerate", help="list every codeword")
+    p = command("enumerate", help="list every codeword")
     p.add_argument("--spec", required=True)
     p.add_argument("--format", choices=("tokens", "dna"), default="tokens")
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("canonical", help="canonical presentation extraction")
+    p = command("canonical", help="canonical presentation extraction")
     p.add_argument("--spec", required=True)
     p.set_defaults(func=_cmd_canonical)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    # A call that names its command goes straight to that subparser.  Any
+    # other call, or one with arguments left over, takes the full parser,
+    # which prints the same help and errors from the same subparsers.
+    args = extras = None
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        args.command = argv[0]
+    if args is None or extras:
+        args = parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

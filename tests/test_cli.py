@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -805,14 +806,19 @@ def subprocess_cli(argv):
                           capture_output=True, text=True, env=env)
 
 
-def test_main_reuse_in_process(capsys):
+def test_main_reuse_in_process(capsys, monkeypatch):
     # One process, one parser: options given to one call must not leak
     # into the defaults of the next, and an argparse failure must leave
-    # the parser usable.
+    # the parser usable.  The calls alternate between the two parse
+    # paths: straight to the command's subparser, and the full parser
+    # for an unknown command or arguments left over.
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap alike
     calls = [
         ["search", "--n", "4", "--cap", "5", "--min-distance", "2"],
         ["distance", "--spec", EXAMPLE_SPEC],
         ["check", "--mode", "rc"],
+        ["check", "--spec", EXAMPLE_SPEC, "stray"],
+        ["nosuch"],
         ["check", "--spec", EXAMPLE_SPEC, "--method", "oracle"],
         ["search", "--n", "4"],
         ["enumerate", "--spec", ZERO_SPEC, "--format", "dna"],
@@ -822,10 +828,94 @@ def test_main_reuse_in_process(capsys):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         fresh = subprocess_cli(argv)
-        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
     assert cli._build_parser() is cli._build_parser()
+
+
+COMMANDS = ("table2", "check", "search", "dual", "distance", "enumerate",
+            "canonical")
+
+# Single argv words: every command's options, whole, abbreviated and with
+# =value, values good and bad, help, the end of options and strays.  No
+# search length above 4 can be drawn, so every drawn call is quick.
+ARGV_WORDS = (
+    "--spec", "--sp", f"--spec={ZERO_SPEC}", "--mode", "--me", "--method",
+    "--cap", "--cap=-1", "--n", "--n=4", "--n=3", "--min-distance",
+    "--require", "--max-c", "--flavor", "--format", EXAMPLE_SPEC, ZERO_SPEC,
+    "{bad", "rc", "reversible", "theorem", "oracle", "nope", "hermitian",
+    "dna", "2", "4", "-1", "x", "-h", "--help", "--he", "--", "-x", "stray",
+)
+
+# Option and value pairs, so that many drawn argv parse.
+ARGV_PAIRS = (
+    ("--spec", EXAMPLE_SPEC), ("--spec", ZERO_SPEC), ("--mode", "reversible"),
+    ("--method", "theorem"), ("--method", "oracle"), ("--cap", "3"),
+    ("--n", "4"), ("--n", "2"), ("--min-distance", "2"),
+    ("--require", "reversible"), ("--max-configs", "40"),
+    ("--flavor", "hermitian"), ("--format", "dna"),
+)
+
+
+@st.composite
+def word_argv(draw):
+    """argv, mostly ones argparse rejects: a command, an unknown one or a
+    top-level flag, then drawn words and option pairs."""
+    head = draw(st.sampled_from(
+        COMMANDS * 2 + ("nosuch", "Check", "-h", "--", "--he")))
+    chunks = draw(st.lists(st.one_of(
+        st.sampled_from(ARGV_PAIRS).map(list),
+        st.sampled_from(ARGV_WORDS).map(lambda w: [w])), max_size=5))
+    return [head] + [word for chunk in chunks for word in chunk]
+
+
+def captured_main(argv):
+    """(exit code, stdout, stderr) of one in-process main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(hostile_argv(), word_argv()))
+@example([])
+@example(["-h"])
+@example(["--help"])
+@example(["check", "-h"])
+@example(["search", "--help"])
+@example(["search", "--n=4"])
+@example(["search", "--n", "4", "--max-c", "5"])
+@example(["search", "--n", "4", "--n", "2", "--max-configs", "9"])
+@example(["check", "--spec", EXAMPLE_SPEC, "--mode", "rc", "--mode",
+          "reversible"])
+@example(["--", "check", "--spec", EXAMPLE_SPEC])
+@example(["check", "--", "--spec", EXAMPLE_SPEC])
+@example(["check", "--spec", EXAMPLE_SPEC, "--"])
+@example(["enumerate", "--spec", ZERO_SPEC, "--format", "dna", "--", "x"])
+@example(["check", "--spec", EXAMPLE_SPEC, "stray"])
+@example(["table2", "stray"])
+@example(["check", "--spec", EXAMPLE_SPEC, "--method", "nope"])
+@example(["dual", "--spec", EXAMPLE_SPEC, "--flavor", "nope"])
+@example(["check"])
+@example(["check", f"--spec={EXAMPLE_SPEC}"])
+@example(["check", "--sp", EXAMPLE_SPEC])
+@example(["nosuch"])
+def test_direct_dispatch_matches_full_parser(argv):
+    # main sends a call that names its command straight to that
+    # subparser; with an empty command map every call takes the full
+    # parser instead.  Both must print the same bytes and exit alike.
+    parser, commands = cli._build_parser()
+    assert tuple(commands) == COMMANDS
+    direct = captured_main(argv)
+    with mock.patch.object(cli, "_build_parser", lambda: (parser, {})):
+        full = captured_main(argv)
+    assert direct == full
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -89,6 +89,17 @@ def test_cli_import_graph_is_light():
     assert new & {"dataclasses", "inspect", "pathlib"} == set()
 
 
+def test_cli_import_builds_no_parser():
+    # The parser and its map of subparsers are built by the first main()
+    # call, not at import, where they would add to every process's start.
+    probe = ("import dnacyclic.cli as cli; "
+             "print(cli._build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", probe], check=True,
+                            capture_output=True, text=True, env=env)
+    assert result.stdout.strip() == "0"
+
+
 def test_each_test_helper_is_defined_in_one_file():
     # A helper two test files need lives in oracles.py; a second copy
     # elsewhere (leading underscores aside) could drift from it.
