@@ -19,6 +19,10 @@ in it.  A call that names its command goes straight to that command's
 subparser; any other call, or one with arguments left over, falls back
 to the full parser, so help, errors and exit codes are the same.
 
+A report prints as one two-space-indented, key-sorted, ASCII-escaped
+JSON object, the bytes json.dumps(obj, indent=2, sort_keys=True)
+writes; search prints one compact object per line.
+
 Exit codes: 0 success, 1 check failed (property not satisfied),
 2 input error, 3 cap exceeded.  A reader that closes stdout early (as
 `| head` does) ends the command quietly with exit 0: nothing is
@@ -144,8 +148,50 @@ def _load_spec(text):
     return n, words, triples
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent=""):
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+
+    json.dumps takes the pure-Python encoder whenever it indents; this
+    writes the same layout with the C string escape.  A key that is not
+    a str, or any other type, raises TypeError.
+    """
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)  # NaN and Infinity as json writes them
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        parts = [_dumps(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):
+        parts = [_ESCAPE(k) + ": " + _dumps(v, inner)
+                 for k, v in sorted(obj.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
+    if not parts:
+        return brackets
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(parts)
+            + "\n" + indent + brackets[1])
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """Print a report: one two-space-indented, key-sorted, ASCII-escaped
+    JSON object."""
+    print(_dumps(obj))
 
 
 def _cmd_table2(args):

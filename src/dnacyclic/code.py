@@ -55,15 +55,17 @@ dimensions of its one- and two-generator subcodes, which come from
 torsion degrees alone, so no subcode is built.
 
 Codes are immutable after construction.  Closure and distance are exact
-decisions on the basis.  The lowest rows of the three layers generate
-the code as an ideal, and reversal maps k * w to phi(k) * reverse(w)
-with phi: x -> x^-1 a ring automorphism, so the code is reversible
-exactly when those at most three rows' reversals reduce to zero;
-complement is translation by the all-u^2 word, so closure under it is
-membership of that word; and the minimum Hamming distance equals that
-of the u^2-subcode (the socle), the binary cyclic code generated by
-layer 2's lowest row t2, whose at most 2^n words are walked from t2's
-shifts until the first word of weight 2 (weight 1 only when t2 = 1).
+decisions on the lows.  The lowest rows of the three layers span the
+code under x alone, and reversal maps x * w to x^-1 * reverse(w), so
+the x-closure of their reversals is the reversed code, as large as the
+code: the code is reversible exactly when that closure has the same
+lows.  Complement is translation by the all-u^2 word, so closure under
+it is membership of that word, which lies in the u^2-subcode (the
+socle) u^2 <t2>, t2 being layer 2's lowest row: it is a codeword
+exactly when t2 is nonzero and divides 1 + x + ... + x^(n-1).  The
+minimum Hamming distance equals that of the socle, the binary cyclic
+code <t2>, whose at most 2^n words are walked from t2's shifts until
+the first word of weight 2 (weight 1 only when t2 = 1).
 Enumeration, distance and closure are guarded by a configurable
 dimension cap.
 """
@@ -163,6 +165,14 @@ def rows_from_lows(n, lows):
                     if v & bit:
                         v ^= low
             yield v
+
+
+def _reverse(n, v):
+    """Coordinate reversal of a packed word: each n-bit layer reversed."""
+    mask = (1 << n) - 1
+    return (polyf2.bit_reverse(v >> 2 * n, n) << 2 * n
+            | polyf2.bit_reverse(v >> n & mask, n) << n
+            | polyf2.bit_reverse(v & mask, n))
 
 
 def _row_words(n, lows):
@@ -443,26 +453,32 @@ class CyclicCode:
     def is_reversible(self, cap=None):
         """Whether the reversal of every codeword is a codeword.
 
-        The lowest rows l0, l1, l2 of the three layers generate the code
-        as an ideal: the layer-i part of li generates the torsion code
-        T_i, so subtracting multiples of l0, then l1, then l2 clears a
-        codeword's unit, u and u^2 layers in turn.  Reversal maps k * w
-        to phi(k) * reverse(w) with phi: x -> x^-1 a ring automorphism,
-        so the code is reversible exactly when each li's reversal is a
-        codeword; this holds for every n, odd n included.
+        The lowest rows of the three layers span the code under x alone
+        (see rows_from_lows), and reversal maps x * w to x^-1 reverse(w)
+        within each layer, so their reversals span the reversed code
+        under x.  The reversed code has as many words as the code, so
+        the code contains it exactly when the two are equal, that is
+        when that span has the code's lows; this holds for every n, odd
+        n included.
         """
         self.check_cap(cap)
-        return all(self._reduce(pack(unpack(self.n, r).reverse())) == 0
-                   for r in self.lows)
+        n = self.n
+        # The u^2 layer first, as for a sum.
+        seeds = [_reverse(n, r) for r in reversed(self.lows)]
+        return x_span_lows(n, seeds) == self.lows
 
     def is_complement_closed(self, cap=None):
         """Whether the code is closed under the coordinatewise complement.
 
         Complement adds u^2 to every coordinate, so the code is closed
-        under it exactly when it contains the all-u^2 word.
+        under it exactly when it contains the all-u^2 word.  The code's
+        u^2-only words are u^2 <t2>, t2 layer 2's lowest row, and t2
+        divides x^n + 1, so that holds exactly when t2 is nonzero and
+        divides 1 + x + ... + x^(n-1).
         """
         self.check_cap(cap)
-        return self._reduce((1 << self.n) - 1) == 0
+        t2 = self.lows[2]
+        return t2 != 0 and polyf2.divides(t2, polyf2.all_ones(self.n))
 
     def is_rc_closed(self, cap=None):
         """Whether the code is closed under reverse-complement."""

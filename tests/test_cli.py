@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -649,6 +650,115 @@ def test_dual_stdout_is_pinned_at_odd_length(capsys, flavor, sha1):
                        ["dual", "--spec", ODD_LONG_SPEC, "--flavor", flavor])
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+WITNESS_SPEC = '{"n":4,"generators":[{"f2":"x^3+x^2+x+1","u":"1"}]}'
+THREE_GEN_SPEC = '{"n":6,"generators":[{"f2":"x^2+1"},{"u2":"x+1"},{"u":"1"}]}'
+
+
+# One report of each shape the JSON writer prints: nested objects, lists
+# of strings, null, booleans, integers, a list of nulls and an empty
+# string.  The digests were recorded before the writer replaced
+# json.dumps, so each report's bytes are those json.dumps wrote.
+@pytest.mark.parametrize("argv, sha1, exit_code", [
+    pytest.param(argv, sha1, exit_code, id=f"{argv[0]}-{sha1[:10]}")
+    for argv, sha1, exit_code in [
+        (["table2"], "3aa7b78209ec8e8b02ee8e294edb19a7eb16c534", 0),
+        (["check", "--spec", EXAMPLE_SPEC, "--method", "theorem",
+          "--mode", "reversible"],
+         "6631bf2e818fc1a626ae2361d29c1e7373c710bd", 0),
+        (["check", "--spec", EXAMPLE_SPEC, "--method", "theorem",
+          "--mode", "rc"], "9efec910ca062d1bca76960c562909496fdb945a", 0),
+        (["check", "--spec", EXAMPLE_SPEC, "--method", "oracle",
+          "--mode", "reversible"],
+         "21b7e615f1e321bce564199d91f68e7f6ab4d1d0", 0),
+        (["check", "--spec", EXAMPLE_SPEC, "--method", "oracle",
+          "--mode", "rc"], "91aec5f93107b33766f2bb82cd0f2fbe8e57533f", 0),
+        (["check", "--spec", EXAMPLE_SPEC, "--method", "both",
+          "--mode", "reversible"],
+         "50fb6d11e443bb9fdbc29da30efc730a77fc4b0d", 0),
+        (["check", "--spec", EXAMPLE_SPEC, "--method", "both",
+          "--mode", "rc"], "cc1235fd2600cb9e0d75f0bb1136b526dbd29fee", 0),
+        # "agreement": false.
+        (["check", "--spec", WITNESS_SPEC, "--mode", "reversible"],
+         "9a6719f90e1c1b543ce6f470bdf15f80169a09a6", 1),
+        (["check", "--spec", WITNESS_SPEC, "--mode", "rc"],
+         "4dcd6b6dba498363b27348c3d8d6d46c35dc8a9d", 1),
+        # The theorem's notes and "agreement": null.
+        (["check", "--spec", THREE_GEN_SPEC, "--mode", "rc"],
+         "5835d3cf572dc81502da4e50f1201337992cc258", 0),
+        # Cases 1, 2 and 3.
+        (["canonical", "--spec", EXAMPLE_SPEC],
+         "40457b0619183c4b936d2a42a68189b45ec20347", 0),
+        (["canonical", "--spec",
+          '{"n":8,"generators":[{"f2":"x^4+1"},{"u2":"x+1"}]}'],
+         "2131c7349339aede3fa442f118ebe65fc26bec16", 0),
+        (["canonical", "--spec", THREE_GEN_SPEC],
+         "fa49a69a3503e114182b0619dbfbd3b00eaf708e", 0),
+        (["distance", "--spec", ZERO_SPEC],
+         "35c2f2f040b5d60130e1c54555ec73fccf09d8b2", 0),
+        # Claims not evaluated: a list of six nulls.
+        (["dual", "--spec", '{"n":4,"generators":[{"f2":"x+1"}]}'],
+         "ef5524a739d8c2ecf3ea30968735fdb54f1038af", 0),
+    ]
+])
+def test_report_stdout_is_pinned(capsys, argv, sha1, exit_code):
+    code, out, _ = run(capsys, argv)
+    assert code == exit_code
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+# Text with non-ASCII characters, quotes, backslashes, control
+# characters and a lone surrogate, all of which the writer escapes.
+REPORT_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é😀')),
+    max_size=6)
+
+REPORT_LEAVES = st.one_of(
+    REPORT_TEXT, st.booleans(), st.none(), st.integers(),
+    st.sampled_from([0, -1, 2 ** 64, -(2 ** 64) - 1, 10 ** 40]),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+    st.sampled_from([[], (), {}]))
+
+# Types json.dumps rejects.
+UNSERIALIZABLE = st.sampled_from([b"", bytearray(b"x"), set(), frozenset(),
+                                  1j, object()])
+
+
+def report_trees(leaves):
+    """Dicts with str keys, lists and tuples nested over the leaves,
+    empty ones at every depth."""
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(REPORT_TEXT, kids, max_size=4)), max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(report_trees(REPORT_LEAVES))
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(report_trees(st.one_of(REPORT_LEAVES, UNSERIALIZABLE)))
+def test_report_writer_raises_where_json_dumps_does(obj):
+    try:
+        expected = json.dumps(obj, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+    else:
+        assert cli._dumps(obj) == expected
+
+
+# json.dumps writes these keys as strings; the writer takes str keys
+# only and raises rather than print something else.
+@pytest.mark.parametrize("obj", [{1: "a"}, {None: 1}, {True: 0},
+                                 {"a": {2.5: []}}, {"a": 1, 2: 3}])
+def test_report_writer_rejects_keys_that_are_not_str(capsys, obj):
+    with pytest.raises(TypeError):
+        cli._emit(obj)
+    assert capsys.readouterr().out == ""
 
 
 # Codes of dimension 24, at the default cap, whose distance is 2: each

@@ -554,9 +554,20 @@ def all_rows_reversible(c):
 @example((7, [RingWord(7, 0b1011, 0, 0), RingWord(7, 0, 0, 1)]))
 @example((7, [RingWord(7, 0b1011, 0, 0), RingWord(7, 0, 1, 0)]))
 def test_reversible_from_lowest_rows_matches_all_rows(case):
+    # The closure decisions read off the lows, against the row-by-row
+    # references and, at n <= 4, against a walk of every word.
     n, gens = case
     c = CyclicCode.from_generators(n, gens)
-    assert c.is_reversible(cap=3 * n) == all_rows_reversible(c)
+    reversible = c.is_reversible(cap=3 * n)
+    complement = c.is_complement_closed(cap=3 * n)
+    assert reversible == all_rows_reversible(c)
+    assert complement == c.contains(u2_all_ones(n))
+    assert c.is_rc_closed(cap=3 * n) == (reversible and complement)
+    if n <= 4:
+        walked = exhaustive_report(c)
+        assert walked["reversible"] == reversible
+        assert walked["complement"] == complement
+        assert walked["rc"] == (reversible and complement)
 
 
 @st.composite
