@@ -13,11 +13,15 @@ one codec here writes a word as one hex digit per coordinate, its ring
 element, and translates the digits by tables built from `ring.to_codon`
 and `ring.token`.
 
-`main(argv)` may be called repeatedly in one process: the argument
-parser is built on the first call and reused, as parsing keeps no state
-in it.  A call that names its command goes straight to that command's
-subparser; any other call, or one with arguments left over, falls back
-to the full parser, so help, errors and exit codes are the same.
+Each command's options are declared once, in one table.  `main(argv)`
+reads an argv of the plain form COMMAND (--flag value)* straight off
+it, into the namespace argparse would give.  Every other argv goes to
+the full argparse parser built from the same table: help, "--",
+--flag=value, abbreviations, values starting with "-", and bad or
+missing values, so it alone prints help and errors.  That parser is
+built, and argparse imported, on first use only, then reused, as
+parsing keeps no state in it; `main` may be called repeatedly in one
+process.
 
 A report prints as one two-space-indented, key-sorted, ASCII-escaped
 JSON object, the bytes json.dumps(obj, indent=2, sort_keys=True)
@@ -31,11 +35,12 @@ printed to stderr, and what is left unwritten is discarded.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import constraints, dual, polyf2, polyr, ring
 from .code import CyclicCode, DEFAULT_ENUM_CAP, gray_walk, pack
@@ -381,75 +386,115 @@ def _cmd_canonical(args):
     return 0
 
 
+_Option = namedtuple("_Option", "flag dest type choices default required help")
+
+
+def _option(flag, type=str, choices=None, default=None, required=False,
+            help=None):
+    """One command option.  Its dest is the flag's name with "-" read as
+    "_", as argparse derives it; str converts a value to itself."""
+    return _Option(flag, flag[2:].replace("-", "_"), type, choices, default,
+                   required, help)
+
+
+def _command(func, help_line, *options):
+    """(handler, help line, {flag: _Option}) of one command."""
+    return func, help_line, {o.flag: o for o in options}
+
+
+_SPEC = _option("--spec", required=True)
+_CAP = _option("--cap", type=int)
+
+# Each command's handler, help line and options, declared once: the full
+# parser is built from this table, and main reads plain argv off it.
+_COMMANDS = {
+    "table2": _command(_cmd_table2, "emit the bundled reference DNA catalog"),
+    "check": _command(
+        _cmd_check, "certify reverse / reverse-complement closure",
+        _option("--spec", required=True,
+                help="JSON code spec (inline or file)"),
+        _option("--mode", choices=("reversible", "rc"), default="rc"),
+        _option("--method", choices=("theorem", "oracle", "both"),
+                default="both"),
+        _option("--cap", type=int, help="enumeration dimension cap "
+                f"(default {DEFAULT_ENUM_CAP})")),
+    "search": _command(
+        _cmd_search, "catalog codes passing a closure constraint",
+        _option("--n", type=int, required=True, help="even code length"),
+        _option("--min-distance", type=int, default=0),
+        _option("--require", choices=("rc", "reversible"), default="rc"),
+        _CAP,
+        _option("--max-configs", type=int, default=1_000_000,
+                help="candidate budget before truncation")),
+    "dual": _command(
+        _cmd_dual, "dual code report", _SPEC,
+        _option("--flavor", choices=dual.FLAVORS, default="euclidean")),
+    "distance": _command(_cmd_distance, "minimum Hamming distance",
+                         _SPEC, _CAP),
+    "enumerate": _command(
+        _cmd_enumerate, "list every codeword", _SPEC,
+        _option("--format", choices=("tokens", "dna"), default="tokens"),
+        _CAP),
+    "canonical": _command(_cmd_canonical, "canonical presentation extraction",
+                          _SPEC),
+}
+
+
 @functools.cache
 def _build_parser():
+    """The full argument parser, built from _COMMANDS on first use."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dnacyclic",
         description="Cyclic codes over the 8-element ring GF(2)[u]/(u^3) "
                     "with DNA codon mapping.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for o in options.values():
+            p.add_argument(o.flag, dest=o.dest, type=o.type,
+                           choices=o.choices, default=o.default,
+                           required=o.required, help=o.help)
+        p.set_defaults(func=func)
+    return parser
 
-    def command(name, **kwargs):
-        commands[name] = p = sub.add_parser(name, **kwargs)
-        return p
 
-    p = command("table2", help="emit the bundled reference DNA catalog")
-    p.set_defaults(func=_cmd_table2)
-
-    p = command("check", help="certify reverse / reverse-complement closure")
-    p.add_argument("--spec", required=True, help="JSON code spec (inline or file)")
-    p.add_argument("--mode", choices=("reversible", "rc"), default="rc")
-    p.add_argument("--method", choices=("theorem", "oracle", "both"),
-                   default="both")
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"enumeration dimension cap (default {DEFAULT_ENUM_CAP})")
-    p.set_defaults(func=_cmd_check)
-
-    p = command("search", help="catalog codes passing a closure constraint")
-    p.add_argument("--n", type=int, required=True, help="even code length")
-    p.add_argument("--min-distance", type=int, default=0)
-    p.add_argument("--require", choices=("rc", "reversible"), default="rc")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--max-configs", type=int, default=1_000_000,
-                   help="candidate budget before truncation")
-    p.set_defaults(func=_cmd_search)
-
-    p = command("dual", help="dual code report")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--flavor", choices=dual.FLAVORS, default="euclidean")
-    p.set_defaults(func=_cmd_dual)
-
-    p = command("distance", help="minimum Hamming distance")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=_cmd_distance)
-
-    p = command("enumerate", help="list every codeword")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--format", choices=("tokens", "dna"), default="tokens")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = command("canonical", help="canonical presentation extraction")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=_cmd_canonical)
-
-    return parser, commands
+def _read_argv(argv):
+    """The namespace the full parser gives argv, read off _COMMANDS, when
+    argv is COMMAND (--flag value)*: each flag one of the command's own,
+    spelt in full; each value not starting with "-", of its option's
+    type and among its choices; every required option given, a repeated
+    one taking its last value.  Any other argv gives None."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    values = {o.dest: o.default for o in options.values()}
+    given = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        try:
+            value = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+        given.add(flag)
+    if any(o.required and o.flag not in given for o in options.values()):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
-    # A call that names its command goes straight to that subparser.  Any
-    # other call, or one with arguments left over, takes the full parser,
-    # which prints the same help and errors from the same subparsers.
-    args = extras = None
-    if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        args.command = argv[0]
-    if args is None or extras:
-        args = parser.parse_args(argv)
+    # Plain argv is read off the option table; the full parser takes
+    # every other argv and owns help, errors and their exit code 2.
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -141,12 +141,12 @@ def rows_from_lows(n, lows):
     ascending pivot order.  Each further row of a layer is the one below
     it times x: a row zero at every other pivot has its layer-i part
     below its pivot and each lower layer's part below that layer's
-    lowest pivot, so the rotation wraps no pivot bit and can set no
-    pivot bit but its own and the lowest one of each non-empty layer;
-    adding those layers' lowest rows clears them, so each row costs one
-    rotation and at most three conditional XORs.
+    lowest pivot, so no layer's top bit is set until the row's own pivot
+    reaches it, the rotation wraps no bit at all and is a plain shift,
+    and it can set no pivot bit but its own and the lowest one of each
+    non-empty layer; adding those layers' lowest rows clears them, so
+    each row costs one shift and at most three conditional XORs.
     """
-    tops = _layer_tops(n)
     seen = []  # (lowest pivot bit, its row) of each layer read so far
     low_bits = 0  # those layers' lowest pivot bits
     for block in range(3):  # the u^2 layer first
@@ -158,8 +158,7 @@ def rows_from_lows(n, lows):
         low_bits |= 1 << lo
         yield v
         for _ in range(lo + 1, (block + 1) * n):
-            t = v & tops
-            v = (v ^ t) << 1 | t >> n - 1
+            v <<= 1
             if v & low_bits:
                 for bit, low in seen:
                     if v & bit:

@@ -920,8 +920,8 @@ def test_main_reuse_in_process(capsys, monkeypatch):
     # One process, one parser: options given to one call must not leak
     # into the defaults of the next, and an argparse failure must leave
     # the parser usable.  The calls alternate between the two parse
-    # paths: straight to the command's subparser, and the full parser
-    # for an unknown command or arguments left over.
+    # paths: plain argv read off the option table, and the full parser
+    # for a missing option, an unknown command or arguments left over.
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap alike
     calls = [
         ["search", "--n", "4", "--cap", "5", "--min-distance", "2"],
@@ -949,7 +949,9 @@ COMMANDS = ("table2", "check", "search", "dual", "distance", "enumerate",
             "canonical")
 
 # Single argv words: every command's options, whole, abbreviated and with
-# =value, values good and bad, help, the end of options and strays.  No
+# =value, values good and bad, help, the end of options and strays.  The
+# empty word, " -x", "-2", "-x y" and the full-width digit "３" sit at
+# the edges of what the option-table reader accepts as a value.  No
 # search length above 4 can be drawn, so every drawn call is quick.
 ARGV_WORDS = (
     "--spec", "--sp", f"--spec={ZERO_SPEC}", "--mode", "--me", "--method",
@@ -957,15 +959,18 @@ ARGV_WORDS = (
     "--require", "--max-c", "--flavor", "--format", EXAMPLE_SPEC, ZERO_SPEC,
     "{bad", "rc", "reversible", "theorem", "oracle", "nope", "hermitian",
     "dna", "2", "4", "-1", "x", "-h", "--help", "--he", "--", "-x", "stray",
+    "", " -x", "-2", "-x y", "３",
 )
 
-# Option and value pairs, so that many drawn argv parse.
+# Option and value pairs, so that many drawn argv parse, and one option
+# given twice, where the last value counts.
 ARGV_PAIRS = (
     ("--spec", EXAMPLE_SPEC), ("--spec", ZERO_SPEC), ("--mode", "reversible"),
     ("--method", "theorem"), ("--method", "oracle"), ("--cap", "3"),
     ("--n", "4"), ("--n", "2"), ("--min-distance", "2"),
     ("--require", "reversible"), ("--max-configs", "40"),
     ("--flavor", "hermitian"), ("--format", "dna"),
+    ("--cap", "5", "--cap", "2"),
 )
 
 
@@ -1016,16 +1021,21 @@ def captured_main(argv):
 @example(["check", f"--spec={EXAMPLE_SPEC}"])
 @example(["check", "--sp", EXAMPLE_SPEC])
 @example(["nosuch"])
+@example(["distance", "--spec", "-x"])
+@example(["search", "--n", "-2"])
 def test_direct_dispatch_matches_full_parser(argv):
-    # main sends a call that names its command straight to that
-    # subparser; with an empty command map every call takes the full
-    # parser instead.  Both must print the same bytes and exit alike.
-    parser, commands = cli._build_parser()
-    assert tuple(commands) == COMMANDS
-    direct = captured_main(argv)
-    with mock.patch.object(cli, "_build_parser", lambda: (parser, {})):
+    # main reads plain argv straight off the option table; with that
+    # reader switched off every call takes the full parser instead.
+    # Both must print the same bytes and exit alike, and an argv the
+    # reader takes must give the namespace argparse gives.
+    assert tuple(cli._COMMANDS) == COMMANDS
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == vars(cli._build_parser().parse_args(argv))
+    with_reader = captured_main(argv)
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
         full = captured_main(argv)
-    assert direct == full
+    assert with_reader == full
 
 
 def test_cli_import_leaves_numpy_unloaded():
