@@ -312,7 +312,9 @@ def _cmd_search(args):
             c = CyclicCode.from_generators(n, gens)
             if c in seen:
                 continue
-            if c.dim > (DEFAULT_ENUM_CAP if cap is None else cap):
+            try:
+                c.check_cap(cap)
+            except CapExceeded:
                 truncated = True
                 continue
             seen[c] = {

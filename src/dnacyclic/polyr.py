@@ -32,6 +32,8 @@ class RingWord:
     @classmethod
     def from_polys(cls, n, f1, f2=0, f3=0):
         """Embed binary polynomials as a word, reducing each modulo x^n + 1."""
+        if (f1 | f2 | f3) < 0:  # mod_xn1 takes nonnegative polynomials only
+            raise ValueError("layer polynomials must be nonnegative")
         return cls(n, polyf2.mod_xn1(f1, n), polyf2.mod_xn1(f2, n),
                    polyf2.mod_xn1(f3, n))
 

@@ -19,15 +19,9 @@ from dnacyclic import cli, constraints, polyf2, ring
 from dnacyclic.code import CyclicCode, pack
 from dnacyclic.cli import dna_to_word, main, reference_catalog, word_to_dna
 from dnacyclic.polyr import RingWord, u2_all_ones
+from cli_pins import EXAMPLE_SPEC, ODD_LONG_SPEC, ODD_SPEC, ZERO_SPEC, pins
 from oracles import (G, P1, P2, candidate_code, reference_search,
                      search_candidates, verdict)
-
-EXAMPLE_SPEC = json.dumps({
-    "n": 8,
-    "generators": [{"f2": "x^6+x^4+x^2+1", "u": "x^5+x", "u2": "x^4+x^2"}],
-})
-
-ZERO_SPEC = json.dumps({"n": 4, "generators": []})
 
 
 def run(capsys, argv):
@@ -548,103 +542,32 @@ def test_cmd_search_rediscovers_example(capsys):
 
 
 @pytest.mark.parametrize("argv, sha1, exit_code", [
-    (["search", "--n", "8", "--require", "rc"],
-     "5ac9954b306be864e4d97933756254404231fc67", 0),
-    (["search", "--n", "4", "--max-configs", "3"],
-     "497f2ff384962e5d506e9d874b30a689db26134e", 3),
-    (["search", "--n", "6", "--require", "reversible"],
-     "6cccb194c1a6bbc70ff5cc8977e7cfb1bb9107e3", 0),
-    # Truncated by the dim cap, then filtered by distance.
-    (["search", "--n", "6", "--cap", "8", "--min-distance", "2"],
-     "4e811a31612212224f36b3a3870c1b8be105814f", 3),
-    # At n = 8 every reversible hit is rc-closed, so both modes print
-    # the same bytes.
-    (["search", "--n", "8", "--require", "reversible"],
-     "5ac9954b306be864e4d97933756254404231fc67", 0),
-    (["search", "--n", "6", "--require", "rc"],
-     "7565d268e36167a1b257c4dcf45a8b7e9f6fa198", 0),
-])
+    (argv, sha1, exit_code) for argv, exit_code, sha1 in pins("search")])
 def test_search_stdout_is_pinned(capsys, argv, sha1, exit_code):
     code, out, _ = run(capsys, argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
-# n = 7, f = x^3 + x + 1: dim 15, so 32,768 lines over several writes.
-ODD_SPEC = json.dumps({
-    "n": 7,
-    "generators": [{"f2": "x^3+x+1", "u": "x^4+x^2+x", "u2": "x^2"}],
-})
-
-
 @pytest.mark.parametrize("argv, sha1, exit_code", [
-    (["enumerate", "--spec", EXAMPLE_SPEC, "--format", "dna"],
-     "45e60d3c092bab8da98fbe24127f66f266dfeff5", 0),
-    (["enumerate", "--spec", EXAMPLE_SPEC, "--format", "tokens"],
-     "934f9f6f5c1babaf8e9132ae8d811ac6750f3e7a", 0),
-    (["enumerate", "--spec", ODD_SPEC, "--format", "dna"],
-     "24369f68f90edb640fc5b57f59963a14e1bddd97", 0),
-    (["enumerate", "--spec", ODD_SPEC, "--format", "tokens"],
-     "103e260e8992a2845b0b1f9ec662ddbd0f22ca39", 0),
-    (["enumerate", "--spec", ZERO_SPEC, "--format", "dna"],
-     "dd132b7ca47a402ddfe4edbcc6ee361c1c88389b", 0),
-    (["enumerate", "--spec", ZERO_SPEC, "--format", "tokens"],
-     "bed9e7378f320dcf84421b328cc19b80befc62fa", 0),
-    # dim 6 above the cap: exit 3 before any line is written.
-    (["enumerate", "--spec", EXAMPLE_SPEC, "--format", "dna", "--cap", "5"],
-     "da39a3ee5e6b4b0d3255bfef95601890afd80709", 3),
-])
+    (argv, sha1, exit_code) for argv, exit_code, sha1 in pins("enumerate")])
 def test_enumerate_stdout_is_pinned(capsys, argv, sha1, exit_code):
     code, out, _ = run(capsys, argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
-# The longest spec the CLI accepts.  The dual reports' digests are pinned
-# so that every change to the kernel or the bases must reproduce them.
-LONG_SPEC = json.dumps({
-    "n": 1024,
-    "generators": [{"f2": "x^512+1", "u": "x^3+x", "u2": "x^7+1"}],
-})
-# The full and the zero code at the bound, whose duals' closures insert
-# the most vectors for the fewest basis rows.
-FULL_LONG_SPEC = json.dumps({"n": 1024, "generators": [{"f2": "1"}]})
-ZERO_LONG_SPEC = json.dumps({"n": 1024, "generators": []})
-
-
 @pytest.mark.parametrize("spec, flavor, sha1", [
     pytest.param(spec, flavor, sha1, id=f"{flavor}-{sha1}")
-    for spec, flavor, sha1 in [
-        (LONG_SPEC, "hermitian", "cf68ca426e72df295c20ba48fb13ea37c0d9081b"),
-        (LONG_SPEC, "euclidean", "89d7166810e73860f1627a6a359f9db1f966a1e6"),
-        (FULL_LONG_SPEC, "hermitian",
-         "cacd45e43fcf6f8018523b05d6641ffff88bcb1c"),
-        (FULL_LONG_SPEC, "euclidean",
-         "73301a1bb0c5035aedac91b6e576cc359894bcab"),
-        (ZERO_LONG_SPEC, "hermitian",
-         "95979b555bf76cd1c0f09fa6258900dd490e5368"),
-        (ZERO_LONG_SPEC, "euclidean",
-         "45a531813d6651eebd81b352e7c347fe98049189"),
-    ]
-])
+    for (_, _, spec, _, flavor), _, sha1 in pins("dual")])
 def test_dual_stdout_is_pinned_at_the_length_bound(capsys, spec, flavor, sha1):
     code, out, _ = run(capsys, ["dual", "--spec", spec, "--flavor", flavor])
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
-# An odd length just under the bound: x^1023 + 1 has no repeated
-# factor, and the report carries no presentation claims.
-ODD_LONG_SPEC = json.dumps({
-    "n": 1023,
-    "generators": [{"f2": "x^341+1", "u": "x^3+x", "u2": "x^7+1"}],
-})
-
-
 @pytest.mark.parametrize("flavor, sha1", [
-    ("hermitian", "9ba057f680c9b86b85e8260537816487bca2aaa6"),
-    ("euclidean", "6f668a429be73ad509925e7343642225987a742e"),
-])
+    (flavor, sha1) for (_, _, _, _, flavor), _, sha1 in pins("dual_odd")])
 def test_dual_stdout_is_pinned_at_odd_length(capsys, flavor, sha1):
     code, out, _ = run(capsys,
                        ["dual", "--spec", ODD_LONG_SPEC, "--flavor", flavor])
@@ -652,56 +575,9 @@ def test_dual_stdout_is_pinned_at_odd_length(capsys, flavor, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
-WITNESS_SPEC = '{"n":4,"generators":[{"f2":"x^3+x^2+x+1","u":"1"}]}'
-THREE_GEN_SPEC = '{"n":6,"generators":[{"f2":"x^2+1"},{"u2":"x+1"},{"u":"1"}]}'
-
-
-# One report of each shape the JSON writer prints: nested objects, lists
-# of strings, null, booleans, integers, a list of nulls and an empty
-# string.  The digests were recorded before the writer replaced
-# json.dumps, so each report's bytes are those json.dumps wrote.
 @pytest.mark.parametrize("argv, sha1, exit_code", [
     pytest.param(argv, sha1, exit_code, id=f"{argv[0]}-{sha1[:10]}")
-    for argv, sha1, exit_code in [
-        (["table2"], "3aa7b78209ec8e8b02ee8e294edb19a7eb16c534", 0),
-        (["check", "--spec", EXAMPLE_SPEC, "--method", "theorem",
-          "--mode", "reversible"],
-         "6631bf2e818fc1a626ae2361d29c1e7373c710bd", 0),
-        (["check", "--spec", EXAMPLE_SPEC, "--method", "theorem",
-          "--mode", "rc"], "9efec910ca062d1bca76960c562909496fdb945a", 0),
-        (["check", "--spec", EXAMPLE_SPEC, "--method", "oracle",
-          "--mode", "reversible"],
-         "21b7e615f1e321bce564199d91f68e7f6ab4d1d0", 0),
-        (["check", "--spec", EXAMPLE_SPEC, "--method", "oracle",
-          "--mode", "rc"], "91aec5f93107b33766f2bb82cd0f2fbe8e57533f", 0),
-        (["check", "--spec", EXAMPLE_SPEC, "--method", "both",
-          "--mode", "reversible"],
-         "50fb6d11e443bb9fdbc29da30efc730a77fc4b0d", 0),
-        (["check", "--spec", EXAMPLE_SPEC, "--method", "both",
-          "--mode", "rc"], "cc1235fd2600cb9e0d75f0bb1136b526dbd29fee", 0),
-        # "agreement": false.
-        (["check", "--spec", WITNESS_SPEC, "--mode", "reversible"],
-         "9a6719f90e1c1b543ce6f470bdf15f80169a09a6", 1),
-        (["check", "--spec", WITNESS_SPEC, "--mode", "rc"],
-         "4dcd6b6dba498363b27348c3d8d6d46c35dc8a9d", 1),
-        # The theorem's notes and "agreement": null.
-        (["check", "--spec", THREE_GEN_SPEC, "--mode", "rc"],
-         "5835d3cf572dc81502da4e50f1201337992cc258", 0),
-        # Cases 1, 2 and 3.
-        (["canonical", "--spec", EXAMPLE_SPEC],
-         "40457b0619183c4b936d2a42a68189b45ec20347", 0),
-        (["canonical", "--spec",
-          '{"n":8,"generators":[{"f2":"x^4+1"},{"u2":"x+1"}]}'],
-         "2131c7349339aede3fa442f118ebe65fc26bec16", 0),
-        (["canonical", "--spec", THREE_GEN_SPEC],
-         "fa49a69a3503e114182b0619dbfbd3b00eaf708e", 0),
-        (["distance", "--spec", ZERO_SPEC],
-         "35c2f2f040b5d60130e1c54555ec73fccf09d8b2", 0),
-        # Claims not evaluated: a list of six nulls.
-        (["dual", "--spec", '{"n":4,"generators":[{"f2":"x+1"}]}'],
-         "ef5524a739d8c2ecf3ea30968735fdb54f1038af", 0),
-    ]
-])
+    for argv, exit_code, sha1 in pins("report")])
 def test_report_stdout_is_pinned(capsys, argv, sha1, exit_code):
     code, out, _ = run(capsys, argv)
     assert code == exit_code
@@ -761,17 +637,8 @@ def test_report_writer_rejects_keys_that_are_not_str(capsys, obj):
     assert capsys.readouterr().out == ""
 
 
-# Codes of dimension 24, at the default cap, whose distance is 2: each
-# walk stops at its first word of weight 2, where a walk of every socle
-# word would visit 2^24 words.
 @pytest.mark.parametrize("spec, sha1", [
-    ('{"n":32,"generators":[{"u2":"x^8+1"}]}',
-     "a9ce24c26ee6366f30ec096f7b52465fbe70b8e8"),
-    ('{"n":30,"generators":[{"u2":"x^6+1"}]}',
-     "fd03e58381eef6e43ca25c813d5a7c23dcf12c38"),
-    ('{"n":48,"generators":[{"u2":"x^24+1"}]}',
-     "972941e51e5d3d9a47a4f21fe78c0b91248ba93c"),
-])
+    (spec, sha1) for (_, _, spec), _, sha1 in pins("socles")])
 def test_distance_stdout_is_pinned_for_large_socles(capsys, spec, sha1):
     code, out, _ = run(capsys, ["distance", "--spec", spec])
     assert code == 0

@@ -1,10 +1,13 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import dnacyclic
+from cli_pins import CI_ONLY, PINS
+from dnacyclic import cli
 
 PACKAGE = Path(dnacyclic.__file__).parent
 TESTS = Path(__file__).parent
@@ -111,3 +114,23 @@ def test_each_test_helper_is_defined_in_one_file():
                     and not node.name.startswith("test_")):
                 homes.setdefault(node.name.lstrip("_"), []).append(path.name)
     assert {k: v for k, v in homes.items() if len(v) > 1} == {}
+
+
+def test_cli_pins_live_in_one_table():
+    # Each pinned (argv, exit code, sha1) is one row of cli_pins.PINS,
+    # read by one tier-1 test per group and, every row, by CI.
+    sha1 = re.compile(r"[0-9a-f]{40}")
+    holders = [path for path in [*sorted(TESTS.glob("*.py")),
+                                 TESTS.parent / ".github/workflows/tests.yml"]
+               if path.name != "cli_pins.py"
+               and sha1.search(path.read_text(encoding="utf-8"))]
+    assert holders == []
+    read = re.findall(r'\bpins\("(\w+)"\)', "".join(
+        path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py")))
+    assert len(read) == len(set(read))
+    groups = {group for group, _, _, _ in PINS}
+    assert set(read) | set(CI_ONLY) == groups
+    assert set(read) & set(CI_ONLY) == set()
+    assert {argv[0] for _, argv, _, _ in PINS} <= set(cli._COMMANDS)
+    argvs = [tuple(argv) for _, argv, _, _ in PINS]
+    assert len(argvs) == len(set(argvs))

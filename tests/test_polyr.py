@@ -34,6 +34,12 @@ def test_ctor_rejects_overflow():
         RingWord(4, 1 << 4)
     with pytest.raises(ValueError):
         RingWord(0, 0)
+    # a negative layer is no polynomial, reduced or not
+    for args in [(4, -1), (4, 0, 0, -5)]:
+        with pytest.raises(ValueError):
+            RingWord.from_polys(*args)
+    with pytest.raises(ValueError):
+        RingWord(4, -1)
     # from_polys reduces instead
     assert RingWord.from_polys(2, polyf2.xn1(2)).is_zero()
 
