@@ -37,12 +37,13 @@ layer's top, and each RREF row above a layer's lowest is the one below
 it times x plus, at most, the lowest rows of three layers.  So the
 lowest RREF row of each layer fixes the whole basis and generates the
 span under x, and a code is stored as those at most three rows: they
-decide equality and the hash, the dimension is read off their pivots,
-they seed sums, intersections and duals, and the rows are rotated out
-of them only when read.  A code grown from seed rows rather than from
-words (a dual, an intersection, a u^2-subcode) builds its generators
-only when they are read, too.  A layer's lowest row is reduced once,
-against the echelon rows of the layers below it.
+decide equality, the hash and membership, the dimension is read off
+their pivots, they seed sums, intersections and duals, and the rows are
+rotated out of them each time they are read.  A code grown from seed
+rows rather than from words (a dual, an intersection, a u^2-subcode)
+takes its basis rows, as words, for its generators, built when first
+read and kept.  A layer's lowest row is reduced once, against the
+echelon rows of the layers below it.
 
 The torsion generators and the canonical presentation are read off the
 lowest basis row of each layer.  That row's layer part is the torsion
@@ -54,15 +55,17 @@ presentation's case tag compares the code's dimension with the symbolic
 dimensions of its one- and two-generator subcodes, which come from
 torsion degrees alone, so no subcode is built.
 
-Codes are immutable after construction.  Closure and distance are exact
-decisions on the lows.  The lowest rows of the three layers span the
-code under x alone, and reversal maps x * w to x^-1 * reverse(w), so
-the x-closure of their reversals is the reversed code, as large as the
-code: the code is reversible exactly when that closure has the same
-lows.  Complement is translation by the all-u^2 word, so closure under
-it is membership of that word, which lies in the u^2-subcode (the
-socle) u^2 <t2>, t2 being layer 2's lowest row: it is a codeword
-exactly when t2 is nonzero and divides 1 + x + ... + x^(n-1).  The
+Codes are immutable after construction.  Membership, closure and
+distance are exact decisions on the lows.  The lowest rows of the three
+layers span the code under x alone, so a word is a codeword exactly
+when the x-closure of the lows and the word has the code's lows.
+Reversal maps x * w to x^-1 * reverse(w), so the x-closure of the lows'
+reversals is the reversed code, as large as the code: the code is
+reversible exactly when that closure has the same lows.  Complement is
+translation by the all-u^2 word, so closure under it is membership of
+that word, which lies in the u^2-subcode (the socle) u^2 <t2>, t2 being
+layer 2's lowest row: it is a codeword exactly when t2 is nonzero and
+divides 1 + x + ... + x^(n-1).  The
 minimum Hamming distance equals that of the socle, the binary cyclic
 code <t2>, whose at most 2^n words are walked from t2's shifts until
 the first word of weight 2 (weight 1 only when t2 = 1).
@@ -174,18 +177,6 @@ def _reverse(n, v):
             | polyf2.bit_reverse(v & mask, n))
 
 
-def _row_words(n, lows):
-    """The RREF rows of the x-closed span with the given lows as words,
-    highest pivot first."""
-    return [unpack(n, r) for r in reversed(list(rows_from_lows(n, lows)))]
-
-
-def _joined_words(sources):
-    """The words of each source in turn; a source is a tuple of words or
-    a function of no arguments that returns them."""
-    return [w for s in sources for w in (s if isinstance(s, tuple) else s())]
-
-
 def x_span_lows(n, seeds, layers=3):
     """The lowest RREF row of each layer of the x-closure of packed seeds.
 
@@ -280,37 +271,30 @@ class CyclicCode:
 
     lows[i] is the lowest-pivot row of layer i's rows in the canonical
     basis, 0 for an empty layer.  The lows fix the whole basis (see
-    rows_from_lows), so they decide equality and the dimension; the rows
-    are read from them on first use and kept.  A code given no
-    generators (a dual, an intersection, a u^2-subcode, a code built
-    from its rows) takes its basis rows, as words, for its generators,
-    built on first read as well.
+    rows_from_lows), so they decide equality, membership and the
+    dimension; the rows are rotated out of them on each read.  A code
+    given no generators (a dual, an intersection, a u^2-subcode, a code
+    built from its rows) takes its basis rows, as words, for its
+    generators, built when first read and kept.
     """
 
-    __slots__ = ("n", "lows", "_generators", "_rows")
+    __slots__ = ("n", "lows", "_generators")
 
     def __init__(self, n, rows, generators=None):
         """The ideal with the given rows, each layer's last nonzero row
         being its lowest RREF row: its whole RREF basis, highest pivot
-        first, or just its lows.  The rows are rotated out of the lows
-        when first read.
+        first, or just its lows.  Only the lows are kept.
 
-        generators are its generating words, a function of no arguments
-        that returns them when they are first read, or None: then the
-        basis rows, as words, are the generators.
+        generators are its generating words, or None: then the basis
+        rows, as words, are the generators.
         """
         lows = [0, 0, 0]
         for r in rows:
             if r:
                 lows[2 - (r.bit_length() - 1) // n] = r
         self.n = n
-        self.lows = lows = tuple(lows)
-        if generators is None:
-            generators = functools.partial(_row_words, n, lows)
-        elif not callable(generators):
-            generators = tuple(generators)
-        self._generators = generators
-        self._rows = None
+        self.lows = tuple(lows)
+        self._generators = None if generators is None else tuple(generators)
 
     @classmethod
     def from_span(cls, n, vectors, generators=None):
@@ -347,19 +331,17 @@ class CyclicCode:
     @property
     def rows(self):
         """The RREF basis, highest pivot first."""
-        if self._rows is None:
-            rows = list(rows_from_lows(self.n, self.lows))
-            rows.reverse()
-            self._rows = tuple(rows)
-        return self._rows
+        rows = list(rows_from_lows(self.n, self.lows))
+        rows.reverse()
+        return tuple(rows)
 
     @property
     def generators(self):
         """The generating words, as the code was built from them."""
-        g = self._generators
-        if not isinstance(g, tuple):
-            g = self._generators = tuple(g())
-        return g
+        if self._generators is None:
+            n = self.n
+            self._generators = tuple(unpack(n, r) for r in self.rows)
+        return self._generators
 
     @property
     def dim(self):
@@ -386,16 +368,13 @@ class CyclicCode:
     def __repr__(self):
         return f"CyclicCode(n={self.n}, dim={self.dim})"
 
-    def _reduce(self, v):
-        for r in self.rows:
-            if v.bit_length() == r.bit_length():
-                v ^= r
-        return v
-
     def contains(self, word):
+        """Whether the word is a codeword: whether it leaves the lows of
+        the code's x-closure unchanged, as for is_reversible."""
         if word.n != self.n:
             raise ValueError(f"length mismatch: {word.n} vs {self.n}")
-        return self._reduce(pack(word)) == 0
+        seeds = [*reversed(self.lows), pack(word)]
+        return x_span_lows(self.n, seeds) == self.lows
 
     def check_cap(self, cap):
         """Raise CapExceeded if the code has more than 2^cap words."""
@@ -488,11 +467,9 @@ class CyclicCode:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         # Each code is the x-closure of its lows; the u^2 layer goes first.
-        # The generators are joined when read, from the operands' own.
-        sources = (self._generators, other._generators)
         return CyclicCode(
             self.n, x_span_lows(self.n, sorted(self.lows + other.lows)),
-            functools.partial(_joined_words, sources))
+            self.generators + other.generators)
 
     def intersect_with(self, other):
         """The code C1 ∩ C2, via the Zassenhaus double-block reduction.

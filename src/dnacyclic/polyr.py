@@ -32,6 +32,8 @@ class RingWord:
     @classmethod
     def from_polys(cls, n, f1, f2=0, f3=0):
         """Embed binary polynomials as a word, reducing each modulo x^n + 1."""
+        if n < 1:  # mod_xn1 divides by n
+            raise ValueError("word length must be at least 1")
         if (f1 | f2 | f3) < 0:  # mod_xn1 takes nonnegative polynomials only
             raise ValueError("layer polynomials must be nonnegative")
         return cls(n, polyf2.mod_xn1(f1, n), polyf2.mod_xn1(f2, n),
@@ -148,8 +150,6 @@ class RingWord:
         """Product with x^k: cyclic shift of every layer by k places."""
         n = self.n
         k %= n
-        if k == 0:
-            return self
         mask = (1 << n) - 1
 
         def rot(f):
@@ -177,10 +177,7 @@ class RingWord:
         both other degrees to (f1*, x^(r-s) f2*, x^(r-t) f3*); outside that
         degree configuration it is still the plain reversal over [0, d].
         """
-        d = self.top_index()
-        if d <= 0:
-            return self
-        w = d + 1
+        w = self.top_index() + 1
         return RingWord(self.n, bit_reverse(self.f1, w), bit_reverse(self.f2, w),
                         bit_reverse(self.f3, w))
 

@@ -55,6 +55,9 @@ PINS = [
      "7565d268e36167a1b257c4dcf45a8b7e9f6fa198"),
     ("search", ["search", "--n", "4"], 0,
      "2bb50d780d5ff39880979aceec1081249fd46960"),
+    # An odd length is an input error, with nothing on stdout.
+    ("search", ["search", "--n", "1"], 2,
+     "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
     # With a budget past the walk, rc and reversible both exit 0; rc with
     # the default flags stops at --max-configs (1,000,000) in the middle
     # of the walk.
@@ -134,6 +137,32 @@ PINS = [
     # Claims not evaluated: a list of six nulls.
     ("report", ["dual", "--spec", '{"n":4,"generators":[{"f2":"x+1"}]}'], 0,
      "ef5524a739d8c2ecf3ea30968735fdb54f1038af"),
+    # <x^2 + 1> at n = 6 is reversible but not rc-closed, so the oracle's
+    # verdict follows --mode.  (1 + u)(x^2 + 1) generates the same code;
+    # with deg p1 = deg g the theorem's hypotheses fail, so its reversible
+    # report differs from every one above, and its test id with it.
+    ("report", ["check", "--spec", '{"n":6,"generators":[{"f2":"x^2+1"}]}',
+                "--method", "oracle", "--mode", "rc"], 1,
+     "fe3d2fd266c6873510e7b92882625075ffe17643"),
+    ("report", ["check", "--spec",
+                '{"n":6,"generators":[{"f2":"x^2+1","u":"x^2+1"}]}',
+                "--method", "both", "--mode", "reversible"], 0,
+     "3997f6aa21ef387241b61aa468558127796a2ee9"),
+    # The theorem's two spec shapes: one generator, or a second of the
+    # form u^2 a2 (case B here); any other is refused with a note.
+    ("report", ["check", "--spec",
+                '{"n":8,"generators":[{"f2":"x^4+1","u":"x^2+1"},'
+                '{"u2":"x^2+1"}]}', "--method", "theorem"], 0,
+     "61ae825c5e57e30a5e21875a6ef3350ac58dc052"),
+    ("report", ["check", "--spec",
+                '{"n":8,"generators":[{"f2":"x^4+1"},{"u":"x+1"}]}',
+                "--method", "theorem"], 1,
+     "c053bc83a3bd5445554a9ebd6464e66cda9194ec"),
+    # Hypotheses not met: "agreement": null, and the oracle decides.
+    ("report", ["check", "--spec",
+                '{"n":8,"generators":[{"f2":"x^2+1","u":"x^3"}]}',
+                "--method", "both"], 0,
+     "f123e12e349745e53868241a30bf2566fc203246"),
     # The check --method both --mode rc report through --flag=value, an
     # abbreviation and reordered options; then the default mode, rc.
     *(("spellings", argv, 0, "cc1235fd2600cb9e0d75f0bb1136b526dbd29fee")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnacyclic import polyf2, ring
+from dnacyclic import code, polyf2, ring
 from dnacyclic.code import CyclicCode, Presentation, unpack
 from dnacyclic.dual import (FLAVORS, check_dual_reversibility_equivalence,
                             dual_brute, dual_code, inner_euclidean,
@@ -366,29 +366,57 @@ def test_verify_dual_divisibility_vacuous_zero_parts():
     assert report["claims"] == [True] * 6
     if pres_hat.g == 0:
         assert any("vacuously" in note for note in report["notes"])
+    # A note for each zero dual part and for no other.
+    report = verify_dual_divisibility(
+        pres, Presentation(3, 1, 0, 0, 1, 0, 1), n)
+    assert report["notes"] == [
+        f"claim {k}: dual part {part} is zero, vacuously divisible"
+        for k, part in [(4, "q"), (5, "p1"), (6, "p2")]]
 
 
 def test_verify_dual_divisibility_hypothesis_violation():
-    # a1 does not divide p1: reported per-claim, not fatal.
-    pres = Presentation(3, polyf2.from_text("x^2+1"), 1, 0,
-                        polyf2.from_text("x+1"), 0, polyf2.from_text("x+1"))
-    report = verify_dual_divisibility(pres, Presentation(1, 0, 0, 0, 0, 0, 0), 4)
-    assert not report["hypotheses_ok"]
-    assert any("a1 does not divide p1" in v for v in report["violations"])
-    assert report["claims"] == [None] * 6
+    # Each violated hypothesis is reported on its own, not raised, and
+    # no claim is evaluated.  At n = 4 every presentation below meets all
+    # hypotheses but the one named: (g, p1, p2, a1, q, a2).  A zero part
+    # is reported before any check that divides by it.
+    t = polyf2.from_text
+    cases = [
+        ((t("x^2+1"), 0, 0, 0, 0, 1), "g, a1, a2 must all be nonzero"),
+        ((t("x^3+x+1"), 0, 0, 1, 0, 1),
+         "divisibility chain a2 | a1 | g | x^n+1 violated"),
+        ((t("x^2+1"), 1, 0, t("x+1"), 0, t("x+1")), "a1 does not divide p1"),
+        ((t("x^2+1"), 0, 1, t("x+1"), 0, t("x+1")), "a2 does not divide p2"),
+        ((t("x^2+1"), 0, 0, t("x+1"), 1, t("x+1")), "a2 does not divide q"),
+        ((t("x+1"), t("x+1"), 0, t("x+1"), 0, t("x+1")),
+         "deg g must exceed deg p1 and deg p2"),
+        ((t("x+1"), 0, t("x+1"), t("x+1"), 0, t("x+1")),
+         "deg g must exceed deg p1 and deg p2"),
+        ((t("x^2+1"), 0, 0, t("x+1"), t("x+1"), 1), "deg a1 must exceed deg q"),
+    ]
+    for fields, violation in cases:
+        pres = Presentation(3, *fields)
+        report = verify_dual_divisibility(
+            pres, Presentation(1, 0, 0, 0, 0, 0, 0), 4)
+        assert not report["hypotheses_ok"]
+        assert report["violations"] == [violation]
+        assert report["claims"] == [None] * 6
 
 
-def test_dual_and_sum_leave_the_rows_unbuilt():
+def test_dual_and_sum_leave_the_rows_unbuilt(monkeypatch):
     # Both are seeded from a code's at most three lowest rows, so neither
     # rotates the full basis out of them.
     n = 64
     c = CyclicCode.from_generators(
         n, [RingWord.from_poly_text(n, "x^32+1;x^3+x;x^7+1")])
     d = CyclicCode.from_generators(n, [RingWord.from_poly_text(n, "0;x^16+1;x^5")])
+    rotations = []
+    rotate = code.rows_from_lows
+    monkeypatch.setattr(code, "rows_from_lows",
+                        lambda *args: rotations.append(args) or rotate(*args))
     for flavor in FLAVORS:
         dual_code(c, flavor)
     c.sum_with(d)
-    assert c._rows is None and d._rows is None
+    assert rotations == []
 
 
 def test_grown_codes_leave_their_generators_unbuilt():
@@ -406,10 +434,8 @@ def test_grown_codes_leave_their_generators_unbuilt():
 
 
 def test_sum_joins_its_operands_generators_when_read():
-    # A sum keeps its operands' generator sources, not the operands: a
-    # dual's generators and an intersection's rows stay unbuilt until
-    # the sum's generators are read, and even then the operands keep
-    # neither.
+    # A sum's generators are its operands' own, joined, whether the
+    # operands were built from words or grown from seed rows.
     n = 64
 
     def operands():
@@ -424,11 +450,6 @@ def test_sum_joins_its_operands_generators_when_read():
         ops = operands()
         a, b = ops[left], ops[right]
         s = a.sum_with(b)
-        dual, rows = ops["dual"], ops["rows"]
-        assert not isinstance(dual._generators, tuple)
-        assert not isinstance(rows._generators, tuple) and rows._rows is None
         gens = s.generators
-        assert not isinstance(dual._generators, tuple)
-        assert not isinstance(rows._generators, tuple) and rows._rows is None
         assert gens == a.generators + b.generators
         assert CyclicCode.from_generators(n, gens) == s

@@ -128,6 +128,8 @@ def test_divisors_square_structure_for_even_n():
 def test_divisor_cap():
     with pytest.raises(CapExceeded):
         divisors_of_xn1(33)
+    with pytest.raises(ValueError):
+        divisors_of_xn1(0)
     assert divisors_of_xn1(33, cap=40)
 
 
@@ -135,6 +137,8 @@ def test_irreducible_factors():
     assert irreducible_factors(X8_1) == [(from_text("x+1"), 8)]
     assert irreducible_factors(xn1(6)) == [(from_text("x+1"), 2),
                                            (from_text("x^2+x+1"), 2)]
+    with pytest.raises(ValueError):
+        irreducible_factors(0)
 
 
 def test_gcd():
@@ -185,8 +189,10 @@ def test_text_rejects_garbage():
 
 def test_text_degree_bound():
     top = polyf2.MAX_TEXT_DEGREE
+    assert top == 65536
+    assert from_text("x^65536") == 1 << 65536
     assert from_text(f"x^{top}+1") == (1 << top) | 1
-    for bad in (f"x^{top + 1}", "x^3000000+x", f"1+x^{10 ** 12}"):
+    for bad in ("x^65537", "x^3000000+x", f"1+x^{10 ** 12}"):
         with pytest.raises(ValueError, match="degree bound"):
             from_text(bad)
 

@@ -15,6 +15,11 @@ def test_layer_round_trip_random():
         w = random_word(rng, n)
         assert RingWord(n, *w.layers()) == w
         assert RingWord.from_elements(w.elements()) == w
+    # Equality answers for any type.
+    assert RingWord(4, 1) != "x"
+    # A word is zero only when every layer is, whichever two are equal.
+    assert not any(RingWord(4, *layers).is_zero()
+                   for layers in [(1, 1), (0, 1, 1), (1, 0, 1)])
 
 
 def test_example_generator_layers():
@@ -30,16 +35,25 @@ def test_all_u2_word_layers():
 
 
 def test_ctor_rejects_overflow():
-    with pytest.raises(ValueError):
-        RingWord(4, 1 << 4)
+    # an overflowing layer is refused, also beside another that
+    # overflows alike
+    for args in [(4, 1 << 4), (4, 1 << 4, 1 << 4), (4, 0, 1 << 4, 1 << 4)]:
+        with pytest.raises(ValueError):
+            RingWord(*args)
     with pytest.raises(ValueError):
         RingWord(0, 0)
-    # a negative layer is no polynomial, reduced or not
-    for args in [(4, -1), (4, 0, 0, -5)]:
+    # a negative layer is no polynomial, reduced or not, however many
+    # layers are negative, and length 0 is refused before any layer is
+    # reduced
+    for args in [(4, -1), (4, 0, 0, -5), (4, -1, -1), (4, 0, -1, -1), (0, 5)]:
         with pytest.raises(ValueError):
             RingWord.from_polys(*args)
     with pytest.raises(ValueError):
         RingWord(4, -1)
+    # ring elements are 0..7
+    for elements in ([0, 8], [-1, 0]):
+        with pytest.raises(ValueError):
+            RingWord.from_elements(elements)
     # from_polys reduces instead
     assert RingWord.from_polys(2, polyf2.xn1(2)).is_zero()
 
@@ -214,6 +228,12 @@ def test_divides_xn_minus_1():
     assert divides_xn_minus_1(gen)
     # (x+1) + u does not (the layer peel leaves a remainder).
     assert not divides_xn_minus_1(RingWord.from_polys(2, polyf2.from_text("x+1"), 1))
+    # Each peel's remainder decides on its own: x^2+x+1 does not divide
+    # x^4+1, though the later peels are exact; at n = 3, x^2+x+1 + u
+    # leaves a remainder at the second peel and none at the third.
+    assert not divides_xn_minus_1(RingWord(4, polyf2.from_text("x^2+x+1")))
+    assert not divides_xn_minus_1(
+        RingWord.from_polys(3, polyf2.from_text("x^2+x+1"), 1))
     # Plain binary divisors embed as R-divisors.
     assert divides_xn_minus_1(RingWord.from_polys(6, polyf2.from_text("x^2+x+1")))
     assert not divides_xn_minus_1(RingWord(4, 0, 1, 0))
