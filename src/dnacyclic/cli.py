@@ -310,14 +310,14 @@ def _cmd_search(args):
             if a2 is not None:
                 gens.append(RingWord(n, 0, 0, a2))
             c = CyclicCode.from_generators(n, gens)
-            if c in seen:
+            if c.lows in seen:  # n is fixed, so the lows decide equality
                 continue
             try:
                 c.check_cap(cap)
             except CapExceeded:
                 truncated = True
                 continue
-            seen[c] = {
+            seen[c.lows] = {
                 "n": n,
                 "g": polyf2.to_text(g),
                 "p1": polyf2.to_text(p1),

@@ -25,12 +25,18 @@ The span built from earlier seeds is closed under x, so a seed's chain
 x^i * v stops at the first shift already in the span: every later shift
 lies in it too.  A chain rotates the stored remainder of its last shift,
 not the shift itself: the two differ by a vector of the span, and so do
-their rotations.  The ideal generated by a set of words is the x-closure
-of their multiples u^j * w, because R itself is the GF(2) span of
-{1, u, u^2}; this reduces all module arithmetic to bit linear algebra.
-Those seeds go in low layer first, the generators last to first and each
-one's u^2 * w, u * w and w in turn, so the lower layers' short rows are
-in place before a shift of w falls out of layer 0.
+their rotations.  A stored remainder that sets no layer's top bit is
+rotated by a plain shift, whose top is one past its own, so a chain runs
+on storing shifts while that next pivot is free and rotates or reduces
+only at a layer top or an occupied pivot.  The ideal generated by a set
+of words is the x-closure of their multiples u^j * w, because R itself
+is the GF(2) span of {1, u, u^2}; this reduces all module arithmetic to
+bit linear algebra.  Those seeds go in low layer first, the generators
+first to last and each one's u^2 * w, u * w and w in turn, so the lower
+layers' short rows are in place before a shift of w falls out of layer
+0.  The lows do not depend on the order; first to last takes fewer
+chain steps on the search's generator pairs, whose second word u^2 a2
+then mostly lies in the span already.
 
 In an x-closed span the pivots of each layer run contiguously up to the
 layer's top, and each RREF row above a layer's lowest is the one below
@@ -184,10 +190,13 @@ def x_span_lows(n, seeds, layers=3):
     Each seed is reduced by leading bits only and stored with its own
     top bit as pivot, and while its stored remainder is new, that
     remainder times x is inserted next; the chain ends at the first
-    shift already in the span.  Only the low three layers are
-    read: with more, as for the Zassenhaus double block or a dual's
-    graph, the echelon rows pivoting there span the closure's vectors
-    that are zero above them.
+    shift already in the span.  A remainder stored at pivot p that sets
+    no layer's top bit times x is a plain shift with its top at p + 1,
+    so the chain runs on storing v << 1 while that pivot is free, and
+    only at a layer top or an occupied pivot does it rotate or reduce.
+    Only the low three layers are read: with more, as for the
+    Zassenhaus double block or a dual's graph, the echelon rows
+    pivoting there span the closure's vectors that are zero above them.
     """
     tops = _layer_tops(n, layers)
     pivots = [0] * (layers * n)
@@ -197,8 +206,17 @@ def x_span_lows(n, seeds, layers=3):
             r = pivots[p]
             if r:
                 v ^= r
-            else:
+                continue
+            pivots[p] = v
+            while not v & tops:  # then p is no layer top: p + 1 is in range
+                v <<= 1
+                p += 1
+                r = pivots[p]
+                if r:
+                    v ^= r
+                    break
                 pivots[p] = v
+            else:
                 t = v & tops
                 v = (v ^ t) << 1 | t >> n - 1
     return _cyclic_lows(n, pivots)
@@ -297,31 +315,60 @@ class CyclicCode:
         self._generators = None if generators is None else tuple(generators)
 
     @classmethod
+    def _from_lows(cls, n, lows, generators=None):
+        """The code with the given lows tuple, as x_span_lows returns it,
+        and generators (a tuple or None), with no row scan."""
+        c = object.__new__(cls)
+        c.n = n
+        c.lows = lows
+        c._generators = generators
+        return c
+
+    @classmethod
     def from_span(cls, n, vectors, generators=None):
         """The ideal generated by packed vectors: the GF(2) span of the
         x-closure of each vector's u^2-, u- and 1-multiples, seeded in
         that order, so the result is an ideal whether or not the vectors
-        span one.  generators are as the constructor takes them.
+        span one.  Each vector must be a packed 3n-bit word.  generators
+        are as the constructor takes them.
         """
+        if n < 1:
+            raise ValueError(f"code length must be at least 1, got {n}")
+        limit = 1 << 3 * n
         seeds = []
         for v in vectors:
+            if not 0 <= v < limit:
+                fault = ("is negative" if v < 0
+                         else f"has a bit at or above 3n = {3 * n}")
+                raise ValueError(f"packed vector {fault}")
             seeds += (v >> 2 * n, v >> n, v)
-        return cls(n, x_span_lows(n, seeds), generators)
+        if generators is not None:
+            generators = tuple(generators)
+        return cls._from_lows(n, x_span_lows(n, seeds), generators)
 
     @classmethod
     def from_generators(cls, n, generators):
-        """The ideal generated by the given words (the zero code for none)."""
+        """The ideal generated by the given words (the zero code for none).
+
+        The words are seeded first to last, each as from_span seeds its
+        packed vector v: v >> 2n and v >> n, which are u^2 * w and u * w,
+        then v itself, all packed here without a call per word.
+        """
+        if n < 1:
+            raise ValueError(f"code length must be at least 1, got {n}")
         generators = tuple(generators)
-        vectors = []
-        for w in reversed(generators):
+        seeds = []
+        for w in generators:
             if w.n != n:
                 raise ValueError(f"generator length {w.n} does not match n = {n}")
-            vectors.append(pack(w))
-        return cls.from_span(n, vectors, generators)
+            f1 = w.f1
+            uw = w.f2 | f1 << n
+            seeds += (f1, uw, w.f3 | uw << n)
+        return cls._from_lows(n, x_span_lows(n, seeds), generators)
 
     @classmethod
     def zero(cls, n):
-        return cls(n, ())
+        return cls._from_lows(n, (0, 0, 0))
 
     @classmethod
     def full(cls, n):
@@ -467,7 +514,7 @@ class CyclicCode:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         # Each code is the x-closure of its lows; the u^2 layer goes first.
-        return CyclicCode(
+        return CyclicCode._from_lows(
             self.n, x_span_lows(self.n, sorted(self.lows + other.lows)),
             self.generators + other.generators)
 
@@ -485,7 +532,7 @@ class CyclicCode:
         # The u^2 layer goes first, as for a sum.
         seeds = sorted([r << w | r for r in self.lows if r]
                        + [r << w for r in other.lows if r])
-        return CyclicCode(self.n, x_span_lows(self.n, seeds, 6))
+        return CyclicCode._from_lows(self.n, x_span_lows(self.n, seeds, 6))
 
     def report_json(self, cap=None):
         """Summary report of the code as a JSON-ready dict."""
@@ -508,7 +555,7 @@ class CyclicCode:
         With the chosen packing these are spanned by exactly the basis
         rows whose pivot lies below bit n, whose lowest row is layer 2's.
         """
-        return CyclicCode(self.n, (self.lows[2],))
+        return CyclicCode._from_lows(self.n, (0, 0, self.lows[2]))
 
     def torsion_generator(self, i):
         """Monic minimum-degree generator of the torsion code T_i.

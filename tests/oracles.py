@@ -224,6 +224,27 @@ def reference_rref(vectors):
     return tuple(rows)
 
 
+def x_closure_lows(n, seeds, layers=3):
+    """The lowest RREF row of each of the low three n-bit layers of the
+    span of x^i * s over every seed s and every i < n, layer 0 first and
+    0 for an empty layer, where x rotates each of the given number of
+    layers by one place."""
+    mask = (1 << n) - 1
+    vectors = []
+    for v in seeds:
+        for _ in range(n):
+            vectors.append(v)
+            parts = [v >> k * n & mask for k in range(layers)]
+            v = sum((p << 1 & mask | p >> n - 1) << k * n
+                    for k, p in enumerate(parts))
+    lows = [0, 0, 0]
+    for r in reference_rref(vectors):  # highest pivot first
+        layer = (r.bit_length() - 1) // n
+        if layer < 3:
+            lows[2 - layer] = r
+    return tuple(lows)
+
+
 def expansion_rref(n, gens):
     """Plain elimination of every u^j x^i w over the generators w."""
     expansions = []

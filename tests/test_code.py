@@ -18,7 +18,7 @@ from dnacyclic.polyr import RingWord, u2_all_ones
 from oracles import (G, P1, P2, candidate_code, example_code,
                      exhaustive_report, expansion_rref, random_code,
                      random_word, reference_rref, socle_distance, verdict,
-                     walked_distance, zassenhaus_rows)
+                     walked_distance, x_closure_lows, zassenhaus_rows)
 
 
 def test_pack_round_trip():
@@ -524,6 +524,34 @@ def test_long_span_matches_full_expansion(case):
     assert CyclicCode.from_generators(n, gens).rows == expansion_rref(n, gens)
 
 
+@st.composite
+def kernel_seeds(draw):
+    """Raw seeds of 3, 6 or 7 n-bit layers, as sums, intersections and
+    duals hand them to x_span_lows."""
+    n = draw(st.integers(1, 8))
+    layers = draw(st.sampled_from((3, 6, 7)))
+    vectors = st.integers(0, (1 << layers * n) - 1)
+    return n, draw(st.lists(vectors, max_size=4)), layers
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(kernel_seeds())
+# 1 << 2 runs up to bit 3, its layer's top, rotates to bit 0 and runs
+# from there until bit 2, already a pivot, stops it.
+@example((4, [1 << 2], 3))
+# A run in a middle layer that ends at that layer's top, bit 7.
+@example((4, [1 << 4], 6))
+# The second seed is x times the first, the third the first again.
+@example((5, [0b1011 << 10 | 0b110, 0b10110 << 10 | 0b1100,
+              0b1011 << 10 | 0b110], 3))
+# Seven layers, as a Hermitian dual's graph has: a seed x fixes, then
+# one with bits in the top and the bottom layer.
+@example((3, [(1 << 21) - 1, 1 << 20 | 1], 7))
+def test_x_span_lows_matches_rref_of_every_rotation(case):
+    n, seeds, layers = case
+    assert code.x_span_lows(n, seeds, layers) == x_closure_lows(n, seeds, layers)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(generator_sets(max_n=40))
 @example((21, [RingWord.from_poly_text(21, "x^3+x+1;x^2;1"),
@@ -734,6 +762,28 @@ def test_span_without_generators_reads_its_rows_as_generators(rows_first):
         assert c == CyclicCode.full(4)
         assert c.generators == tuple(unpack(4, r) for r in c.rows)
         assert CyclicCode.from_generators(4, c.generators) == c
+
+
+@pytest.mark.parametrize("n, vectors, message", [
+    (4, [1 << 12], "packed vector has a bit at or above 3n = 12"),
+    (4, [5, -1], "packed vector is negative"),
+    (0, [], "code length must be at least 1, got 0"),
+    (-1, [1], "code length must be at least 1, got -1"),
+])
+def test_from_span_rejects_what_is_not_a_packed_word(n, vectors, message):
+    with pytest.raises(ValueError, match=message):
+        CyclicCode.from_span(n, vectors)
+
+
+def test_from_generators_rejects_a_length_below_one():
+    with pytest.raises(ValueError, match="code length must be at least 1"):
+        CyclicCode.from_generators(0, [])
+
+
+def test_from_span_takes_every_packed_word():
+    top = (1 << 12) - 1  # all of R^4's layers set
+    c = CyclicCode.from_span(4, [0, top])
+    assert c == CyclicCode.from_generators(4, [unpack(4, top)])
 
 
 @st.composite
