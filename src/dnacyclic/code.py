@@ -325,12 +325,11 @@ class CyclicCode:
         return c
 
     @classmethod
-    def from_span(cls, n, vectors, generators=None):
+    def from_span(cls, n, vectors):
         """The ideal generated by packed vectors: the GF(2) span of the
         x-closure of each vector's u^2-, u- and 1-multiples, seeded in
         that order, so the result is an ideal whether or not the vectors
-        span one.  Each vector must be a packed 3n-bit word.  generators
-        are as the constructor takes them.
+        span one.  Each vector must be a packed 3n-bit word.
         """
         if n < 1:
             raise ValueError(f"code length must be at least 1, got {n}")
@@ -342,17 +341,12 @@ class CyclicCode:
                          else f"has a bit at or above 3n = {3 * n}")
                 raise ValueError(f"packed vector {fault}")
             seeds += (v >> 2 * n, v >> n, v)
-        if generators is not None:
-            generators = tuple(generators)
-        return cls._from_lows(n, x_span_lows(n, seeds), generators)
+        return cls._from_lows(n, x_span_lows(n, seeds))
 
     @classmethod
     def from_generators(cls, n, generators):
-        """The ideal generated by the given words (the zero code for none).
-
-        The words are seeded first to last, each as from_span seeds its
-        packed vector v: v >> 2n and v >> n, which are u^2 * w and u * w,
-        then v itself, all packed here without a call per word.
+        """The ideal generated by the given words (the zero code for none),
+        seeded first to last, each word's u^2- and u-multiples ahead of it.
         """
         if n < 1:
             raise ValueError(f"code length must be at least 1, got {n}")
