@@ -74,7 +74,8 @@ layer 2's lowest row: it is a codeword exactly when t2 is nonzero and
 divides 1 + x + ... + x^(n-1).  The
 minimum Hamming distance equals that of the socle, the binary cyclic
 code <t2>, whose at most 2^n words are walked from t2's shifts until
-the first word of weight 2 (weight 1 only when t2 = 1).
+the first word of weight at most 2; the walk's first word is t2 itself,
+of weight 1 only when t2 = 1, and no other word has weight 1.
 Enumeration, distance and closure are guarded by a configurable
 dimension cap.
 """
@@ -105,7 +106,7 @@ def unpack(n, v):
 
 
 @functools.lru_cache(maxsize=256)
-def _layer_tops(n, layers=3):
+def _layer_tops(n, layers):
     """The top bit of each n-bit layer of a (layers * n)-bit vector, as one mask."""
     return (1 << n - 1) * ((1 << layers * n) - 1) // ((1 << n) - 1)
 
@@ -140,6 +141,18 @@ def _cyclic_lows(n, pivots):
         lows[2 - block] = v
         below |= (1 << start + n) - (1 << lo)
     return tuple(lows)
+
+
+def _packed(n, vectors, kind):
+    """Yield the vectors, raising ValueError for a length n < 1 or for a
+    vector, named as kind, that is not a packed 3n-bit word."""
+    if n < 1:
+        raise ValueError(f"code length must be at least 1, got {n}")
+    for v in vectors:
+        if v >> 3 * n:  # -1 for a negative v
+            fault = "is negative" if v < 0 else f"has a bit at or above 3n = {3 * n}"
+            raise ValueError(f"{kind} {fault}")
+        yield v
 
 
 def rows_from_lows(n, lows):
@@ -298,21 +311,23 @@ class CyclicCode:
 
     __slots__ = ("n", "lows", "_generators")
 
-    def __init__(self, n, rows, generators=None):
+    def __init__(self, n, rows):
         """The ideal with the given rows, each layer's last nonzero row
         being its lowest RREF row: its whole RREF basis, highest pivot
-        first, or just its lows.  Only the lows are kept.
-
-        generators are its generating words, or None: then the basis
+        first, or just its lows.  Only the lows are kept, and the basis
         rows, as words, are the generators.
+
+        A length n < 1, or a row that is negative or has a bit at or
+        above 3n, raises ValueError.  That the rows are an ideal's rows
+        is not checked.
         """
         lows = [0, 0, 0]
-        for r in rows:
+        for r in _packed(n, rows, "row"):
             if r:
                 lows[2 - (r.bit_length() - 1) // n] = r
         self.n = n
         self.lows = tuple(lows)
-        self._generators = None if generators is None else tuple(generators)
+        self._generators = None
 
     @classmethod
     def _from_lows(cls, n, lows, generators=None):
@@ -331,15 +346,8 @@ class CyclicCode:
         that order, so the result is an ideal whether or not the vectors
         span one.  Each vector must be a packed 3n-bit word.
         """
-        if n < 1:
-            raise ValueError(f"code length must be at least 1, got {n}")
-        limit = 1 << 3 * n
         seeds = []
-        for v in vectors:
-            if not 0 <= v < limit:
-                fault = ("is negative" if v < 0
-                         else f"has a bit at or above 3n = {3 * n}")
-                raise ValueError(f"packed vector {fault}")
+        for v in _packed(n, vectors, "packed vector"):
             seeds += (v >> 2 * n, v >> n, v)
         return cls._from_lows(n, x_span_lows(n, seeds))
 
@@ -362,7 +370,8 @@ class CyclicCode:
 
     @classmethod
     def zero(cls, n):
-        return cls._from_lows(n, (0, 0, 0))
+        """The zero code, generated by no word."""
+        return cls.from_generators(n, ())
 
     @classmethod
     def full(cls, n):
@@ -446,18 +455,17 @@ class CyclicCode:
         u^2-only codeword supported inside c, so the minimum is taken
         over the u^2-subcode alone (Norton and Salagean, 2000).  That is
         the binary cyclic code <t2> with t2 layer 2's torsion generator.
-        When t2 = 1 the code is all of GF(2)^n and the distance is 1.
-        Otherwise <t2> is a proper ideal of GF(2)[x]/(x^n + 1), and a
-        word of weight 1, x^i, is a unit there (x^n = 1), so <t2> has
-        none and the walk stops at its first word of weight 2.  The cap
-        is checked against the whole code's dimension, not the socle's.
+        A word of weight 1, x^i, is a unit of GF(2)[x]/(x^n + 1) (x^n = 1),
+        so <t2> holds one only when it is the whole space, t2 = 1.  The
+        walk's first nonzero word is t2 itself, which then has weight 1,
+        and otherwise no word has weight 1, so the walk stops at its
+        first word of weight at most 2.  The cap is checked against the
+        whole code's dimension, not the socle's.
         """
         t2 = self.lows[2]
         if not t2:  # a nonzero code has a nonzero u^2-subcode
             return math.inf
         self.check_cap(cap)
-        if t2 == 1:
-            return 1
         # The u^2-subcode is u^2 <t2>: its words are the multiples of t2
         # of degree below n, spanned by t2's shifts x^k t2, k < n - deg t2.
         best = self.n + 1
@@ -465,7 +473,7 @@ class CyclicCode:
             w = v.bit_count()
             if 0 < w < best:
                 best = w
-                if best == 2:  # no word of weight 1, as t2 != 1
+                if best <= 2:  # weight 1 is t2 = 1, the walk's first word
                     break
         return best
 

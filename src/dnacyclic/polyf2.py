@@ -15,7 +15,7 @@ import itertools
 
 NEG_INF = float("-inf")
 
-# Default bound on n for divisor enumeration of x^n + 1.
+# Bound on n for divisor enumeration of x^n + 1.
 DIVISOR_ENUM_CAP = 32
 
 # Largest exponent from_text accepts: a term x^e is built as a (e+1)-bit
@@ -146,17 +146,18 @@ def irreducible_factors(f):
     return out
 
 
-def divisors_of_xn1(n, cap=DIVISOR_ENUM_CAP):
+def divisors_of_xn1(n):
     """All monic divisors of x^n + 1, sorted by (degree, coefficient bits).
 
     Obtained by factoring x^n + 1 and expanding every exponent multiset.
-    n above the cap is refused because divisor counts and trial division
-    both grow with n.
+    n above DIVISOR_ENUM_CAP raises CapExceeded, because divisor counts
+    and trial division both grow with n; n < 1 raises ValueError.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"divisor enumeration capped at n <= {cap}, got n = {n}")
+    if n > DIVISOR_ENUM_CAP:
+        raise CapExceeded("divisor enumeration capped at "
+                          f"n <= {DIVISOR_ENUM_CAP}, got n = {n}")
     factors = irreducible_factors(xn1(n))
     divisors = set()
     for exponents in itertools.product(*[range(e + 1) for _, e in factors]):

@@ -24,10 +24,23 @@ from oracles import (G, P1, P2, candidate_code, reference_search,
                      search_candidates, verdict)
 
 
-def run(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process main(argv); an
+    argparse exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package
+    from its source tree."""
+    src = Path(dnacyclic.__file__).parents[1]
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 def test_word_dna_round_trip():
@@ -121,8 +134,8 @@ def test_reference_catalog_contents():
         assert word_to_dna(dna_to_word(s)) == s
 
 
-def test_cmd_table2(capsys):
-    code, out, _ = run(capsys, ["table2"])
+def test_cmd_table2():
+    code, out, _ = run(["table2"])
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 28
@@ -130,9 +143,9 @@ def test_cmd_table2(capsys):
     assert set(payload["strings"]) == reference_catalog()
 
 
-def test_cmd_check_example_both(capsys):
-    code, out, _ = run(capsys, ["check", "--spec", EXAMPLE_SPEC,
-                                "--mode", "rc", "--method", "both"])
+def test_cmd_check_example_both():
+    code, out, _ = run(["check", "--spec", EXAMPLE_SPEC,
+                        "--mode", "rc", "--method", "both"])
     assert code == 0
     payload = json.loads(out)
     assert payload["satisfied"] is True
@@ -141,17 +154,17 @@ def test_cmd_check_example_both(capsys):
     assert payload["oracle"]["satisfied"] is True
 
 
-def test_cmd_check_odd_n_theorem(capsys):
+def test_cmd_check_odd_n_theorem():
     spec = json.dumps({"n": 5, "generators": [{"f2": "x+1"}]})
-    code, out, _ = run(capsys, ["check", "--spec", spec, "--mode",
-                                "reversible", "--method", "theorem"])
+    code, out, _ = run(["check", "--spec", spec, "--mode",
+                        "reversible", "--method", "theorem"])
     assert code == 1
     payload = json.loads(out)
     assert payload["theorem"]["hypothesis_ok"] is False
     assert payload["satisfied"] is False
 
 
-def test_cmd_check_non_self_reciprocal_both(capsys):
+def test_cmd_check_non_self_reciprocal_both():
     # (x^3+x+1)^2 (x+1)^2 divides x^14+1 but is not self-reciprocal; both
     # methods must come back negative.
     h = polyf2.mul(polyf2.from_text("x^3+x+1"), polyf2.from_text("x+1"))
@@ -159,8 +172,8 @@ def test_cmd_check_non_self_reciprocal_both(capsys):
     assert polyf2.divides(g, polyf2.xn1(14))
     assert not polyf2.is_self_reciprocal(g)
     spec = json.dumps({"n": 14, "generators": [{"f2": polyf2.to_text(g)}]})
-    code, out, _ = run(capsys, ["check", "--spec", spec, "--mode",
-                                "reversible", "--method", "both"])
+    code, out, _ = run(["check", "--spec", spec, "--mode",
+                        "reversible", "--method", "both"])
     assert code == 1
     payload = json.loads(out)
     assert payload["theorem"]["satisfied"] is False
@@ -169,13 +182,13 @@ def test_cmd_check_non_self_reciprocal_both(capsys):
 
 
 @pytest.mark.parametrize("mode", ["reversible", "rc"])
-def test_cmd_check_search_family_witness(capsys, mode):
+def test_cmd_check_search_family_witness(mode):
     # g = (x+1)^3 divides x^4+1, so <g + u> is a search candidate, but
     # it does not divide x^4 - 1 in R: its code is reversible and
     # rc-closed while no case of the criterion certifies it.
     spec = '{"n":4,"generators":[{"f2":"x^3+x^2+x+1","u":"1"}]}'
-    code, out, _ = run(capsys, ["check", "--spec", spec, "--mode", mode,
-                                "--method", "both"])
+    code, out, _ = run(["check", "--spec", spec, "--mode", mode,
+                        "--method", "both"])
     assert code == 1
     payload = json.loads(out)
     assert payload["oracle"]["satisfied"] is True
@@ -183,8 +196,8 @@ def test_cmd_check_search_family_witness(capsys, mode):
     assert payload["agreement"] is False
 
 
-def test_cmd_check_bad_spec(capsys):
-    code, _, err = run(capsys, ["check", "--spec", '{"n": 0}'])
+def test_cmd_check_bad_spec():
+    code, _, err = run(["check", "--spec", '{"n": 0}'])
     assert code == 2
     assert "input error" in err
 
@@ -196,23 +209,23 @@ def test_cmd_check_bad_spec(capsys):
     '{"n": 8, "generators": [{"f2": "x^1_0"}]}',
     '{"n": 8, "generators": [{"f2": "x^\\u0663"}]}',
 ])
-def test_bad_spec_fields_are_input_errors(capsys, spec):
-    code, out, err = run(capsys, ["distance", "--spec", spec])
+def test_bad_spec_fields_are_input_errors(spec):
+    code, out, err = run(["distance", "--spec", spec])
     assert code == 2
     assert out == ""
     assert "input error" in err
 
 
 @pytest.mark.parametrize("text", ["[1]", '"spec"', "8"])
-def test_spec_file_not_an_object(tmp_path, capsys, text):
+def test_spec_file_not_an_object(tmp_path, text):
     path = tmp_path / "spec.json"
     path.write_text(text, encoding="utf-8")
-    code, _, err = run(capsys, ["distance", "--spec", str(path)])
+    code, _, err = run(["distance", "--spec", str(path)])
     assert code == 2
     assert "input error" in err
 
 
-def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
+def test_deeply_nested_spec_is_an_input_error(tmp_path):
     # Nesting past the JSON parser's recursion limit exits 2 with one
     # JSON line on stderr, in process and as a fresh interpreter.
     depth = 200_000
@@ -220,7 +233,7 @@ def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
     path.write_text('{"n": 4, "x": ' + "[" * depth + "]" * depth + "}",
                     encoding="utf-8")
     argv = ["canonical", "--spec", str(path)]
-    code, out, err = run(capsys, argv)
+    code, out, err = run(argv)
     fresh = subprocess_cli(argv)
     for code, out, err in ((code, out, err),
                            (fresh.returncode, fresh.stdout, fresh.stderr)):
@@ -230,7 +243,7 @@ def test_deeply_nested_spec_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
-def test_unreadable_spec_file_is_an_input_error(tmp_path, capsys, kind):
+def test_unreadable_spec_file_is_an_input_error(tmp_path, kind):
     # The reader's own error text is the detail of the one stderr line.
     if kind == "directory":
         path = tmp_path
@@ -240,7 +253,7 @@ def test_unreadable_spec_file_is_an_input_error(tmp_path, capsys, kind):
         path.write_bytes(b"\xff{}")
         detail = ("'utf-8' codec can't decode byte 0xff in position 0: "
                   "invalid start byte")
-    code, out, err = run(capsys, ["distance", "--spec", str(path)])
+    code, out, err = run(["distance", "--spec", str(path)])
     assert (code, out) == (2, "")
     assert err == json.dumps({"error": "input error", "detail": detail}) + "\n"
 
@@ -386,83 +399,83 @@ def test_hostile_input_exits_cleanly(argv):
     assert "Traceback" not in out.getvalue() + text
 
 
-def test_cmd_check_cap(capsys):
+def test_cmd_check_cap():
     spec = json.dumps({"n": 8, "generators": [{"f2": "1"}]})
-    code, _, err = run(capsys, ["check", "--spec", spec, "--method",
-                                "oracle", "--cap", "5"])
+    code, _, err = run(["check", "--spec", spec, "--method",
+                        "oracle", "--cap", "5"])
     assert code == 3
     assert "cap exceeded" in err
 
 
 @pytest.mark.parametrize("command", ["dual", "canonical", "check",
                                      "distance", "enumerate"])
-def test_spec_length_bound(capsys, command):
+def test_spec_length_bound(command):
     # The zero code stays under every dimension cap, so only the length
     # bound can reject it.
     assert cli.MAX_LENGTH == 1024
     spec = json.dumps({"n": 1025, "generators": []})
-    code, out, err = run(capsys, [command, "--spec", spec])
+    code, out, err = run([command, "--spec", spec])
     assert code == 3
     assert out == ""
     assert "cap exceeded" in err
 
 
-def test_spec_degree_bound(capsys):
+def test_spec_degree_bound():
     # x^3000000 would be built as a 3-million-bit int; the parser
     # refuses the term before that.
     spec = json.dumps({"n": 8, "generators": [{"f2": "x^3000000"}]})
     start = time.perf_counter()
-    code, out, err = run(capsys, ["canonical", "--spec", spec])
+    code, out, err = run(["canonical", "--spec", spec])
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert "input error" in err
 
 
-def test_many_generators_at_the_degree_bound(capsys):
+def test_many_generators_at_the_degree_bound():
     # Each layer is reduced modulo x^n + 1 by folding, so terms at the
     # degree bound cost microseconds, not one step per degree.
     gen = {"f2": "x^65536", "u": "x^65535", "u2": "x^65534"}
     one = json.dumps({"n": 8, "generators": [gen]})
     many = json.dumps({"n": 8, "generators": [gen] * 200})
-    code, expected, _ = run(capsys, ["canonical", "--spec", one])
+    code, expected, _ = run(["canonical", "--spec", one])
     assert code == 0
     start = time.perf_counter()
-    code, out, _ = run(capsys, ["canonical", "--spec", many])
+    code, out, _ = run(["canonical", "--spec", many])
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out == expected
 
 
-def test_cmd_distance_example(capsys):
-    code, out, _ = run(capsys, ["distance", "--spec", EXAMPLE_SPEC])
+def test_cmd_distance_example():
+    code, out, _ = run(["distance", "--spec", EXAMPLE_SPEC])
     assert code == 0
     assert json.loads(out)["min_distance"] == 4
 
 
-def test_cmd_distance_zero_code(capsys):
-    code, out, _ = run(capsys, ["distance", "--spec", ZERO_SPEC])
+def test_cmd_distance_zero_code():
+    code, out, _ = run(["distance", "--spec", ZERO_SPEC])
     assert code == 0
     assert json.loads(out)["min_distance"] is None
 
 
-def test_cmd_enumerate_zero_code_dna(capsys):
-    code, out, _ = run(capsys, ["enumerate", "--spec", ZERO_SPEC,
-                                "--format", "dna"])
+def test_cmd_enumerate_zero_code_dna():
+    code, out, _ = run(["enumerate", "--spec", ZERO_SPEC,
+                        "--format", "dna"])
     assert code == 0
     assert out.splitlines() == ["GCGCGCGC"]
 
 
-def test_cmd_enumerate_tokens(capsys):
+def test_cmd_enumerate_tokens():
     spec = json.dumps({"n": 2, "generators": [{"u2": "x+1"}]})
-    code, out, _ = run(capsys, ["enumerate", "--spec", spec])
+    code, out, _ = run(["enumerate", "--spec", spec])
     assert code == 0
     assert sorted(out.splitlines()) == ["0,0", "u2,u2"]
 
 
-def test_cmd_enumerate_dna_round_trip(capsys):
-    code, out, _ = run(capsys, ["enumerate", "--spec", EXAMPLE_SPEC,
-                                "--format", "dna"])
+def test_cmd_enumerate_dna_round_trip():
+    code, out, _ = run(["enumerate", "--spec", EXAMPLE_SPEC,
+                        "--format", "dna"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 64
@@ -470,8 +483,8 @@ def test_cmd_enumerate_dna_round_trip(capsys):
         assert word_to_dna(dna_to_word(s)) == s
 
 
-def test_cmd_canonical_example(capsys):
-    code, out, _ = run(capsys, ["canonical", "--spec", EXAMPLE_SPEC])
+def test_cmd_canonical_example():
+    code, out, _ = run(["canonical", "--spec", EXAMPLE_SPEC])
     assert code == 0
     payload = json.loads(out)
     assert payload["case"] == 1
@@ -480,24 +493,24 @@ def test_cmd_canonical_example(capsys):
     assert payload["p2"] == "x^4+x^2"
 
 
-def test_cmd_dual_example(capsys):
-    code, out, _ = run(capsys, ["dual", "--spec", EXAMPLE_SPEC,
-                                "--flavor", "euclidean"])
+def test_cmd_dual_example():
+    code, out, _ = run(["dual", "--spec", EXAMPLE_SPEC,
+                        "--flavor", "euclidean"])
     assert code == 0
     payload = json.loads(out)
     assert payload["cardinality"] * 64 == 8 ** 8
     assert payload["flavor"] == "euclidean"
 
 
-def test_cmd_dual_hermitian(capsys):
-    code, out, _ = run(capsys, ["dual", "--spec", EXAMPLE_SPEC,
-                                "--flavor", "hermitian"])
+def test_cmd_dual_hermitian():
+    code, out, _ = run(["dual", "--spec", EXAMPLE_SPEC,
+                        "--flavor", "hermitian"])
     assert code == 0
     json.loads(out)
 
 
-def test_cmd_search_n2_exhaustive(capsys):
-    code, out, _ = run(capsys, ["search", "--n", "2", "--require", "rc"])
+def test_cmd_search_n2_exhaustive():
+    code, out, _ = run(["search", "--n", "2", "--require", "rc"])
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     summary = lines[-1]
@@ -517,9 +530,9 @@ def test_cmd_search_n2_exhaustive(capsys):
         assert c.min_hamming_distance() == h["min_distance"]
 
 
-def test_cmd_search_min_distance_filter(capsys):
-    code, out, _ = run(capsys, ["search", "--n", "4", "--require",
-                                "reversible", "--min-distance", "2"])
+def test_cmd_search_min_distance_filter():
+    code, out, _ = run(["search", "--n", "4", "--require",
+                        "reversible", "--min-distance", "2"])
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     hits = lines[:-1]
@@ -528,8 +541,8 @@ def test_cmd_search_min_distance_filter(capsys):
     assert dists == sorted(dists, reverse=True)
 
 
-def test_cmd_search_rediscovers_example(capsys):
-    code, out, _ = run(capsys, ["search", "--n", "8", "--require", "rc"])
+def test_cmd_search_rediscovers_example():
+    code, out, _ = run(["search", "--n", "8", "--require", "rc"])
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     hits = lines[:-1]
@@ -543,16 +556,16 @@ def test_cmd_search_rediscovers_example(capsys):
 
 @pytest.mark.parametrize("argv, sha1, exit_code", [
     (argv, sha1, exit_code) for argv, exit_code, sha1 in pins("search")])
-def test_search_stdout_is_pinned(capsys, argv, sha1, exit_code):
-    code, out, _ = run(capsys, argv)
+def test_search_stdout_is_pinned(argv, sha1, exit_code):
+    code, out, _ = run(argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 @pytest.mark.parametrize("argv, sha1, exit_code", [
     (argv, sha1, exit_code) for argv, exit_code, sha1 in pins("enumerate")])
-def test_enumerate_stdout_is_pinned(capsys, argv, sha1, exit_code):
-    code, out, _ = run(capsys, argv)
+def test_enumerate_stdout_is_pinned(argv, sha1, exit_code):
+    code, out, _ = run(argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
@@ -560,17 +573,16 @@ def test_enumerate_stdout_is_pinned(capsys, argv, sha1, exit_code):
 @pytest.mark.parametrize("spec, flavor, sha1", [
     pytest.param(spec, flavor, sha1, id=f"{flavor}-{sha1}")
     for (_, _, spec, _, flavor), _, sha1 in pins("dual")])
-def test_dual_stdout_is_pinned_at_the_length_bound(capsys, spec, flavor, sha1):
-    code, out, _ = run(capsys, ["dual", "--spec", spec, "--flavor", flavor])
+def test_dual_stdout_is_pinned_at_the_length_bound(spec, flavor, sha1):
+    code, out, _ = run(["dual", "--spec", spec, "--flavor", flavor])
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 @pytest.mark.parametrize("flavor, sha1", [
     (flavor, sha1) for (_, _, _, _, flavor), _, sha1 in pins("dual_odd")])
-def test_dual_stdout_is_pinned_at_odd_length(capsys, flavor, sha1):
-    code, out, _ = run(capsys,
-                       ["dual", "--spec", ODD_LONG_SPEC, "--flavor", flavor])
+def test_dual_stdout_is_pinned_at_odd_length(flavor, sha1):
+    code, out, _ = run(["dual", "--spec", ODD_LONG_SPEC, "--flavor", flavor])
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
@@ -578,8 +590,8 @@ def test_dual_stdout_is_pinned_at_odd_length(capsys, flavor, sha1):
 @pytest.mark.parametrize("argv, sha1, exit_code", [
     pytest.param(argv, sha1, exit_code, id=f"{argv[0]}-{sha1[:10]}")
     for argv, exit_code, sha1 in pins("report")])
-def test_report_stdout_is_pinned(capsys, argv, sha1, exit_code):
-    code, out, _ = run(capsys, argv)
+def test_report_stdout_is_pinned(argv, sha1, exit_code):
+    code, out, _ = run(argv)
     assert code == exit_code
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
@@ -639,25 +651,25 @@ def test_report_writer_rejects_keys_that_are_not_str(capsys, obj):
 
 @pytest.mark.parametrize("spec, sha1", [
     (spec, sha1) for (_, _, spec), _, sha1 in pins("socles")])
-def test_distance_stdout_is_pinned_for_large_socles(capsys, spec, sha1):
-    code, out, _ = run(capsys, ["distance", "--spec", spec])
+def test_distance_stdout_is_pinned_for_large_socles(spec, sha1):
+    code, out, _ = run(["distance", "--spec", spec])
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
-def test_distance_keeps_the_cap_and_the_zero_code(capsys):
+def test_distance_keeps_the_cap_and_the_zero_code():
     # The cap still applies to the whole code's dimension, 24 here.
     spec = '{"n":32,"generators":[{"u2":"x^8+1"}]}'
-    code, out, err = run(capsys, ["distance", "--spec", spec, "--cap", "23"])
+    code, out, err = run(["distance", "--spec", spec, "--cap", "23"])
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "cap exceeded"
-    code, out, _ = run(capsys, ["distance", "--spec", ZERO_SPEC])
+    code, out, _ = run(["distance", "--spec", ZERO_SPEC])
     assert code == 0
     assert '"min_distance": null' in out
 
 
-def test_search_calls_the_module_checkers(capsys, monkeypatch):
+def test_search_calls_the_module_checkers(monkeypatch):
     """search calls the constraints checkers as they stand when it runs.
 
     Wrappers put on the module attributes after import must see one
@@ -679,7 +691,7 @@ def test_search_calls_the_module_checkers(capsys, monkeypatch):
     build = CyclicCode.from_generators.__func__
     monkeypatch.setattr(CyclicCode, "from_generators",
                         classmethod(counted(build, codes)))
-    code, out, _ = run(capsys, ["search", "--n", "6", "--require", "rc"])
+    code, out, _ = run(["search", "--n", "6", "--require", "rc"])
     assert code == 0
     summary = json.loads(out.splitlines()[-1])
     assert len(checks) == summary["configs"] == 8792
@@ -689,7 +701,7 @@ def test_search_calls_the_module_checkers(capsys, monkeypatch):
 
 @pytest.mark.parametrize("require", ["rc", "reversible"])
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_search_matches_certificate_loop(capsys, n, require):
+def test_search_matches_certificate_loop(n, require):
     """search gives the hits of a plain loop over the public checkers."""
     candidates = 0
     first = {}
@@ -708,7 +720,7 @@ def test_search_matches_certificate_loop(capsys, n, require):
             "case": v.case, "dim": c.dim,
             "cardinality": c.cardinality,
             "min_distance": c.min_hamming_distance()}
-    code, out, _ = run(capsys, ["search", "--n", str(n), "--require", require])
+    code, out, _ = run(["search", "--n", str(n), "--require", require])
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     summary, hits = lines[-1], lines[:-1]
@@ -756,34 +768,33 @@ def test_search_truncation_windows_match_reference(case):
                                                       min_distance)
 
 
-def test_cmd_search_truncation_flag(capsys):
-    code, out, _ = run(capsys, ["search", "--n", "4", "--max-configs", "3"])
+def test_cmd_search_truncation_flag():
+    code, out, _ = run(["search", "--n", "4", "--max-configs", "3"])
     assert code == 3
     summary = json.loads(out.splitlines()[-1])
     assert summary["truncated"] is True
 
 
-def test_spec_file_input(tmp_path, capsys):
+def test_spec_file_input(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(EXAMPLE_SPEC, encoding="utf-8")
-    code, out, _ = run(capsys, ["distance", "--spec", str(path)])
+    code, out, _ = run(["distance", "--spec", str(path)])
     assert code == 0
     assert json.loads(out)["min_distance"] == 4
 
 
-def test_missing_spec_file(capsys):
-    code, _, err = run(capsys, ["distance", "--spec", "/nonexistent.json"])
+def test_missing_spec_file():
+    code, _, err = run(["distance", "--spec", "/nonexistent.json"])
     assert code == 2
+    assert "input error" in err
 
 
 def subprocess_cli(argv):
-    src = str(Path(dnacyclic.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "dnacyclic.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=fresh_env())
 
 
-def test_main_reuse_in_process(capsys, monkeypatch):
+def test_main_reuse_in_process(monkeypatch):
     # One process, one parser: options given to one call must not leak
     # into the defaults of the next, and an argparse failure must leave
     # the parser usable.  The calls alternate between the two parse
@@ -801,11 +812,7 @@ def test_main_reuse_in_process(capsys, monkeypatch):
         ["enumerate", "--spec", ZERO_SPEC, "--format", "dna"],
     ]
     for argv in calls:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
+        code, out, err = run(argv)
         fresh = subprocess_cli(argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                     fresh.stderr), argv
@@ -853,17 +860,6 @@ def word_argv(draw):
     return [head] + [word for chunk in chunks for word in chunk]
 
 
-def captured_main(argv):
-    """(exit code, stdout, stderr) of one in-process main(argv)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.one_of(hostile_argv(), word_argv()))
 @example([])
@@ -899,18 +895,16 @@ def test_direct_dispatch_matches_full_parser(argv):
     read = cli._read_argv(argv)
     if read is not None:
         assert vars(read) == vars(cli._build_parser().parse_args(argv))
-    with_reader = captured_main(argv)
+    with_reader = run(argv)
     with mock.patch.object(cli, "_read_argv", lambda argv: None):
-        full = captured_main(argv)
+        full = run(argv)
     assert with_reader == full
 
 
 def test_cli_import_leaves_numpy_unloaded():
     probe = "import sys, dnacyclic.cli; print('numpy' in sys.modules)"
-    src = str(Path(dnacyclic.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", probe], check=True,
-                            capture_output=True, text=True, env=env)
+                            capture_output=True, text=True, env=fresh_env())
     assert result.stdout.strip() == "False"
 
 
@@ -923,8 +917,7 @@ def test_cli_import_leaves_numpy_unloaded():
     (["dual", "--spec", EXAMPLE_SPEC], 0),
 ])
 def test_closed_stdout_pipe_exits_quietly(argv, lines_read):
-    src = str(Path(dnacyclic.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = fresh_env()
     env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is block-buffered
     proc = subprocess.Popen([sys.executable, "-m", "dnacyclic.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

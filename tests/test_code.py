@@ -775,9 +775,27 @@ def test_from_span_rejects_what_is_not_a_packed_word(n, vectors, message):
         CyclicCode.from_span(n, vectors)
 
 
+@pytest.mark.parametrize("n, rows, message", [
+    (4, [1 << 12], "row has a bit at or above 3n = 12"),
+    (4, [-3], "row is negative"),
+    (4, [1, 1 << 13], "row has a bit at or above 3n = 12"),
+    (0, [5], "code length must be at least 1, got 0"),
+    (-2, [], "code length must be at least 1, got -2"),
+])
+def test_constructor_rejects_what_is_not_a_packed_row(n, rows, message):
+    with pytest.raises(ValueError, match=message):
+        CyclicCode(n, rows)
+
+
 def test_from_generators_rejects_a_length_below_one():
     with pytest.raises(ValueError, match="code length must be at least 1"):
         CyclicCode.from_generators(0, [])
+
+
+def test_zero_rejects_a_length_below_one():
+    with pytest.raises(ValueError, match="code length must be at least 1"):
+        CyclicCode.zero(0)
+    assert CyclicCode.zero(1).generators == ()
 
 
 def test_from_span_takes_every_packed_word():

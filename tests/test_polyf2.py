@@ -130,7 +130,6 @@ def test_divisor_cap():
         divisors_of_xn1(33)
     with pytest.raises(ValueError):
         divisors_of_xn1(0)
-    assert divisors_of_xn1(33, cap=40)
 
 
 def test_irreducible_factors():
