@@ -294,21 +294,30 @@ def _cmd_search(args):
     configs = 0
     seen = {}
     single, double = _checkers(args.require)
+    # Each word is built at its first certified candidate and reused:
+    # u^2 a2 across the search, g + u p1 + u^2 p2 across its triple's a2s.
+    # Every layer has degree below n, so the words need no reduction.
+    u2 = {}
     for g, p1, p2, a2s in _search_candidates(n):
         configs += len(a2s)
         if configs > budget:
             truncated = True
             a2s = a2s[:budget + len(a2s) - configs]
             configs = budget + 1
+        word = None
         for a2 in a2s:
             verdict = (single(n, g, p1, p2) if a2 is None
                        else double(n, g, p1, p2, a2))
             if not verdict.satisfied:
                 continue
-            # Every layer has degree below n, so the words need no reduction.
-            gens = [RingWord(n, g, p1, p2)]
-            if a2 is not None:
-                gens.append(RingWord(n, 0, 0, a2))
+            if word is None:
+                word = RingWord(n, g, p1, p2)
+            if a2 is None:
+                gens = (word,)
+            else:
+                if a2 not in u2:
+                    u2[a2] = RingWord(n, 0, 0, a2)
+                gens = (word, u2[a2])
             c = CyclicCode.from_generators(n, gens)
             if c.lows in seen:  # n is fixed, so the lows decide equality
                 continue

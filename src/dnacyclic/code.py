@@ -122,25 +122,28 @@ def _cyclic_lows(n, pivots):
     deg t_i to n - 1 and no other (Norton and Salagean, 2000).  The
     pivots of each layer are therefore contiguous and end at the layer's
     top, so a layer's lowest pivot follows its count of free bits; the
-    echelon basis has the same pivots as the RREF.  The lowest-pivot row
-    of a layer is reduced against the echelon rows of the layers below
-    it, highest pivot bit first: each XOR clears that bit and touches
-    only lower ones.  An empty layer's entry is 0.
+    echelon basis has the same pivots as the RREF.  The u^2 layer's
+    lowest-pivot row has no layer below it and is already reduced.  The
+    u and unit layers' rows are reduced against the echelon rows of the
+    layers below them, highest pivot bit first: each XOR clears that bit
+    and touches only lower ones.  An empty layer has n free bits, so its
+    entry is 0 and it adds no pivot bit to those the layers above it are
+    reduced against.
     """
-    lows = [0, 0, 0]
-    below = 0  # the pivot bits of the layers reduced so far
-    for block in range(3):  # n bits each, the u^2 layer first
-        start = block * n
-        free = pivots[start:start + n].count(0)
-        if free == n:
-            continue
-        lo = start + free
-        v = pivots[lo]
-        while x := v & below:
-            v ^= pivots[x.bit_length() - 1]
-        lows[2 - block] = v
-        below |= (1 << start + n) - (1 << lo)
-    return tuple(lows)
+    n2, n3 = 2 * n, 3 * n
+    lo2 = pivots[:n].count(0)
+    lo1 = n + pivots[n:n2].count(0)
+    lo0 = n2 + pivots[n2:n3].count(0)
+    t2 = pivots[lo2] if lo2 < n else 0
+    t1 = pivots[lo1] if lo1 < n2 else 0
+    t0 = pivots[lo0] if lo0 < n3 else 0
+    below = (1 << n) - (1 << lo2)  # the u^2 layer's pivot bits
+    while x := t1 & below:
+        t1 ^= pivots[x.bit_length() - 1]
+    below |= (1 << n2) - (1 << lo1)  # and the u layer's
+    while x := t0 & below:
+        t0 ^= pivots[x.bit_length() - 1]
+    return t0, t1, t2
 
 
 def _packed(n, vectors, kind):

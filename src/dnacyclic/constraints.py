@@ -44,13 +44,22 @@ m = x^n+1, h = (m/g) p1 and a1 = gcd(g, h):
 t2 = gcd(a1, (m/a1) p2 + (h/a1) p1, a2) divides 1 + x + ... + x^(n-1).
 That reduces to one divisibility test: with e the largest power of two
 dividing n, the word is a codeword unless x^e + 1 = (x+1)^e divides
-each of g, p1, p2 and a2 (see _rc).  The test splits in two halves.
-The (g, a2) half depends on (n, g, a2) alone and is cached with the
-other generator facts: when (x+1)^e fails to divide g or a2 (an absent
-a2 counts as divisible), the word is a codeword whatever p1 and p2 are,
-and the rc verdict is the reversible one at no further cost.  Only when
-(x+1)^e divides both does the (p1, p2) half run, one fold of each
-modulo x^e + 1 per candidate.
+each of g, p1, p2 and a2 (see _rc).
+
+A search checks every p2 and a2 of each (g, p1) in a row, so all that
+does not depend on p2 sits in one bounded cache keyed by (n, g, p1,
+a2), _p1_facts, which reads the (n, g, a2) facts of _generator_facts
+on its misses.  An entry holds the verdict when p1 alone settles it,
+else what case A or B leaves to p2: the divisor and the mask of the
+residue.  It also holds whether (x+1)^e fails to divide g, a2 or p1
+(an absent a2 counts as divisible); then the all-u^2 word is a
+codeword whatever p2 is, and the rc verdict is the reversible one.  A
+reversible check then pays one cache hit, one shift for the degree of
+p2, and in case A or B one cached reversal of p2 and at most one
+division.  An rc check reads the entry once more for the membership
+fact, and folds p2 modulo x^e + 1 only when (x+1)^e divides g, a2 and
+p1.  Inputs are validated on the misses, so a hit pays for no check; a
+negative p2 fails the degree shift and raises on that slow path.
 """
 
 from __future__ import annotations
@@ -95,11 +104,10 @@ def _degree_hypothesis(g, p1, p2):
 def _generator_facts(n, g, a2):
     """(chain, recip, divisor, member) for nonzero g; a2 = None: one generator.
 
-    All four depend on (n, g, a2) alone, so a search over (p1, p2)
-    reads them from the cache: chain is whether a2 | g | x^n+1 (a2 = 0
-    breaks it), recip the verdict naming the self-reciprocity failures
-    of g then a2 (None if there are none), divisor is a2 or g, and
-    member is whether (x+1)^e fails to divide g or a2 (an absent a2
+    All four depend on (n, g, a2) alone: chain is whether a2 | g | x^n+1
+    (a2 = 0 breaks it), recip the verdict naming the self-reciprocity
+    failures of g then a2 (None if there are none), divisor is a2 or g,
+    and member is whether (x+1)^e fails to divide g or a2 (an absent a2
     counts as divisible), which makes the all-u^2 word a codeword
     whatever p1 and p2 are (module docstring).  Structurally invalid
     inputs raise, and a raise is not cached.
@@ -108,6 +116,8 @@ def _generator_facts(n, g, a2):
         raise ValueError(f"checker requires an even length, got n = {n}")
     if g == 0:
         raise ValueError("generator polynomial g must be nonzero")
+    if g < 0 or (a2 or 0) < 0:
+        raise ValueError(f"polynomial {'g' if g < 0 else 'a2'} is negative")
     chain = (polyf2.divides(g, polyf2.xn1(n))
              and (a2 is None or (a2 != 0 and polyf2.divides(a2, g))))
     if not chain and a2 is not None:
@@ -126,47 +136,79 @@ _CERTIFIED = {tag: Verdict(True, tag, True) for tag in "ABC"}
 _NO_CASE = Verdict(False, "NONE", True, "no shifted-reciprocal case matches")
 
 
-def _reversible(facts, g, p1, p2, a2):
-    """Reversibility of <g + u p1 + u^2 p2, u^2 a2>; a2 None: one generator.
+def _hypothesis_failure(chain, g, p1, p2):
+    """The verdict for a broken chain or a violated degree hypothesis."""
+    hyp = _degree_hypothesis(g, p1, p2)
+    if not chain:
+        hyp = "; ".join(filter(None, ("g does not divide x^n+1", hyp)))
+    return Verdict(False, "NONE", False, hyp)
 
-    A broken chain is a hypothesis failure for one generator and an
-    error for two.  The s1 test picks the branch and its residue; the
-    code is reversible exactly when (a2 or g) divides the residue.
-    facts is _generator_facts(n, g, a2).
+
+@functools.lru_cache(maxsize=4096)
+def _p1_facts(n, g, p1, a2):
+    """What (n, g, p1, a2) settles for every p2 of degree below deg g:
+    (w, settled, mask, divisor, certified, member); a2 = None: one
+    generator.
+
+    w is g.bit_length().  settled is the verdict when p1 decides it
+    alone (a broken chain, deg p1 >= deg g, a g or a2 that is not
+    self-reciprocal, or an s1 in neither case), else None.  Then the
+    code is reversible exactly when divisor (a2 or g) divides the residue
+    bit_reverse(p2, w) ^ p2 ^ mask, with mask 0 in case A and p1 in
+    case B, and certified holds the verdicts for a zero and a nonzero
+    residue.  member is whether (x+1)^e fails to divide g, a2 or p1,
+    which makes the all-u^2 word a codeword whatever p2 is.  Invalid
+    inputs raise here, on a miss, and a raise is not cached.
     """
-    chain, recip, divisor, _ = facts
+    chain, recip, divisor, member = _generator_facts(n, g, a2)
+    if p1 < 0:
+        raise ValueError("polynomial p1 is negative")
     w = g.bit_length()
-    # Every search candidate passes this one comparison of bit lengths;
-    # only a failure reads the notes.
-    if not chain or w <= (p1 | p2).bit_length():
-        hyp = _degree_hypothesis(g, p1, p2)
-        if not chain:
-            hyp = "; ".join(filter(None, ("g does not divide x^n+1", hyp)))
-        return Verdict(False, "NONE", False, hyp)
-    if recip:
-        return recip
-    s1 = bit_reverse(p1, w)
-    if s1 == p1:
-        residue, tag = bit_reverse(p2, w) ^ p2, "A"
-    elif s1 == g ^ p1 and a2 is not None:
-        # One generator never certifies here (module docstring).
-        residue, tag = bit_reverse(p2, w) ^ p1 ^ p2, "B"
+    member = member or bool(polyf2.mod_xn1(p1, n & -n))
+    settled, mask, certified = _NO_CASE, 0, None
+    if not chain or p1 >> (w - 1):
+        settled = _hypothesis_failure(chain, g, p1, 0)
+    elif recip:
+        settled = recip
     else:
-        return _NO_CASE
-    if not polyf2.divides(divisor, residue):
-        return _NO_CASE
-    # deg residue <= deg g, so for one generator the residue is 0 or g.
-    return _CERTIFIED["C" if a2 is None and residue else tag]
-
-
-def check_reversible_single(n, g, p1, p2):
-    """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A and C."""
-    return _reversible(_generator_facts(n, g, None), g, p1, p2, None)
+        s1 = bit_reverse(p1, w)
+        if s1 == p1:
+            # deg residue <= deg g, so for one generator it is 0 or g.
+            settled, certified = None, (
+                _CERTIFIED["A"], _CERTIFIED["A" if a2 is not None else "C"])
+        elif s1 == g ^ p1 and a2 is not None:
+            # One generator never certifies here (module docstring).
+            settled, mask, certified = None, p1, (_CERTIFIED["B"],) * 2
+    return w, settled, mask, divisor, certified, member
 
 
 def check_reversible_double(n, g, p1, p2, a2):
     """Reversibility criterion for C = <g + u p1 + u^2 p2, u^2 a2>."""
-    return _reversible(_generator_facts(n, g, a2), g, p1, p2, a2)
+    w, settled, mask, divisor, certified, _ = _p1_facts(n, g, p1, a2)
+    # Every search candidate passes this one shift: p2 >> (w - 1) is
+    # nonzero when deg p2 >= deg g and when p2 is negative.
+    if p2 >> (w - 1):
+        if p2 < 0:
+            raise ValueError("polynomial p2 is negative")
+        return _hypothesis_failure(_generator_facts(n, g, a2)[0], g, p1, p2)
+    if settled:
+        return settled
+    residue = bit_reverse(p2, w) ^ p2 ^ mask
+    if residue and not polyf2.divides(divisor, residue):
+        return _NO_CASE
+    return certified[residue != 0]
+
+
+# The body of every checker, a2 = None standing for one generator: a
+# broken chain is then a hypothesis failure, where for two it raises.
+# Bound here, so that a wrapper put on the public name later sees only
+# the calls made through it.
+_reversible = check_reversible_double
+
+
+def check_reversible_single(n, g, p1, p2):
+    """Reversibility criterion for C = <g + u p1 + u^2 p2>, cases A and C."""
+    return _reversible(n, g, p1, p2, None)
 
 
 def _rc(n, g, p1, p2, a2):
@@ -189,15 +231,14 @@ def _rc(n, g, p1, p2, a2):
     (x+1)^e | a1 needs it to divide g, so m/g is prime to x+1, and then
     p1; then m/a1 is prime to x+1 and (h/a1) p1 is a multiple, so
     (x+1)^e | t2 holds exactly when it also divides p2 and a2.  The
-    cached member fact settles the (g, a2) half; p1 and p2 are folded
-    only when it leaves the question open.
+    cached member fact settles the (g, a2, p1) part; p2 is folded only
+    when it leaves the question open.
     """
-    facts = _generator_facts(n, g, a2)
-    verdict = _reversible(facts, g, p1, p2, a2)
-    if facts[3] or not verdict.hypothesis_ok:
+    verdict = _reversible(n, g, p1, p2, a2)
+    if not verdict.hypothesis_ok or _p1_facts(n, g, p1, a2)[5]:
         return verdict
-    e = n & -n  # (x+1)^e = x^e + 1, e the largest power of two dividing n
-    if polyf2.mod_xn1(p1, e) or polyf2.mod_xn1(p2, e):
+    # (x+1)^e = x^e + 1, e the largest power of two dividing n
+    if polyf2.mod_xn1(p2, n & -n):
         return verdict
     notes = "; ".join(filter(None, [verdict.notes, "all-u2 word is not a codeword"]))
     return Verdict(False, verdict.case, True, notes)

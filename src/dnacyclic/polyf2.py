@@ -5,6 +5,11 @@ x^i, so 0b1010101 is x^6+x^4+x^2+1 and 0 is the zero polynomial. The
 zero polynomial has degree NEG_INF so that degree comparisons involving
 it never need a special case.
 
+A negative int is no polynomial.  The products, divisions, factoring,
+reversals and to_text raise ValueError for one, where their bit loops
+would otherwise never end or answer wrongly; degree reads only the bit
+length and does not check.
+
 All functions are pure and all values immutable, hence thread-safe.
 """
 
@@ -36,6 +41,8 @@ def mul(f, g):
     """Carry-less product of two polynomials."""
     if f < g:
         f, g = g, f
+    if g < 0:
+        raise ValueError(f"polynomial is negative: {g}")
     acc = 0
     while g:
         if g & 1:
@@ -47,8 +54,10 @@ def mul(f, g):
 
 def divrem(f, d):
     """Quotient and remainder of f by d, with deg(remainder) < deg(d)."""
-    if d == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
+    if d <= 0 or f < 0:
+        if d == 0:
+            raise ZeroDivisionError("division by the zero polynomial")
+        raise ValueError(f"polynomial is negative: {min(f, d)}")
     dd = d.bit_length() - 1
     q = 0
     while f.bit_length() - 1 >= dd:
@@ -71,6 +80,8 @@ def mod_xn1(f, n):
     half of f's length halves f per fold: O(log deg f) big-int steps
     instead of one per degree, as mod would take.
     """
+    if f < 0:
+        raise ValueError(f"polynomial is negative: {f}")
     while f >> n:
         k = max(f.bit_length() // (2 * n), 1) * n
         f = (f & ((1 << k) - 1)) ^ (f >> k)
@@ -84,6 +95,8 @@ def divides(d, f):
 
 def gcd(f, g):
     """Greatest common divisor (monic automatically over GF(2))."""
+    if f < 0 or g < 0:
+        raise ValueError(f"polynomial is negative: {min(f, g)}")
     while g:
         f, g = g, divrem(f, g)[1]
     return f
@@ -95,7 +108,10 @@ def bit_reverse(v, width):
 
     Cached: a search reverses the same few short layers for every
     candidate, and a cache hit costs less than the string round trip.
+    A negative v raises on the miss, and a raise is not cached.
     """
+    if v < 0:
+        raise ValueError(f"polynomial is negative: {v}")
     return int(bin(v | 1 << width)[:2:-1] or "0", 2)
 
 
@@ -128,8 +144,9 @@ def irreducible_factors(f):
     candidates pass that degree the rest of f is irreducible, with
     multiplicity 1, and the search stops.
     """
-    if f == 0:
-        raise ValueError("cannot factor the zero polynomial")
+    if f <= 0:
+        raise ValueError("cannot factor the zero polynomial" if f == 0
+                         else f"polynomial is negative: {f}")
     out = []
     while degree(f) >= 1:
         d = 2
@@ -171,6 +188,8 @@ def divisors_of_xn1(n):
 
 def to_text(f):
     """Render as monomials joined by '+', descending degree, e.g. "x^6+x^4+x^2+1"."""
+    if f < 0:
+        raise ValueError(f"polynomial is negative: {f}")
     if f == 0:
         return "0"
     parts = []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dnacyclic import cli, polyf2
+from dnacyclic import cli, constraints, polyf2
 from dnacyclic.code import CyclicCode
 from dnacyclic.constraints import (Verdict, check_rc_double,
                                    check_rc_single, check_reversible_double,
@@ -418,6 +418,39 @@ def test_search_inputs_match_reference(n):
                     assert check_rc_double(n, g, p1, p2, a2) == (
                         with_membership(v, n, g, p1, p2, a2))
     assert cases == {"A", "C", "NONE"}
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_verdicts_do_not_depend_on_the_cache(n):
+    # The search's inputs in a seeded shuffled order from empty caches;
+    # at n = 10 the 1,572,864 of the one g of degree 9 are sampled, one
+    # in 16, as all of them would add about ten seconds.  Calls for one
+    # (g, p1, a2) are then spread over the run, and divisors g of equal
+    # degree alternate (at n = 6, x^2+1 and x^2+x+1 and two of degree 4),
+    # so an entry keyed without g or a2 answers for the wrong candidate.
+    rng = random.Random(n)
+    inputs = [(g, p1, p2, a2)
+              for g, p1, p2, a2s in cli._search_candidates(n)
+              for a2 in a2s
+              if n < 10 or polyf2.degree(g) < 9 or rng.random() < 1 / 16]
+    rng.shuffle(inputs)
+    for cached in (constraints._p1_facts, constraints._generator_facts,
+                   polyf2.bit_reverse):
+        cached.cache_clear()
+    cases = set()
+    for g, p1, p2, a2 in inputs:
+        if a2 is None:
+            v = check_reversible_single(n, g, p1, p2)
+            assert v == _reference_single(n, g, p1, p2), (g, p1, p2)
+            rc = check_rc_single(n, g, p1, p2)
+        else:
+            v = check_reversible_double(n, g, p1, p2, a2)
+            assert v == _reference_double(n, g, p1, p2, a2), (g, p1, p2, a2)
+            rc = check_rc_double(n, g, p1, p2, a2)
+        assert rc == with_membership(v, n, g, p1, p2, a2 or 0), (g, p1, p2, a2)
+        cases.add((a2 is None, v.case, rc.satisfied))
+    assert {(True, "A", True), (True, "C", True), (False, "A", True),
+            (False, "B", True), (False, "NONE", False)} <= cases
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +45,51 @@ def test_divrem_zero_divisor():
         divrem(5, 0)
     with pytest.raises(ZeroDivisionError):
         divides(0, 5)
+
+
+# A negative int is no polynomial.  Each of these calls used to spin in a
+# bit loop forever or return a wrong value.
+NEGATIVE_CALLS = (
+    ("polyf2", "divrem", (-9, 3)), ("polyf2", "divrem", (9, -3)),
+    ("polyf2", "mod", (-9, 3)), ("polyf2", "mod_xn1", (-5, 4)),
+    ("polyf2", "mul", (-3, 5)), ("polyf2", "mul", (3, -5)),
+    ("polyf2", "gcd", (-3, 0)), ("polyf2", "gcd", (6, -3)),
+    ("polyf2", "divides", (3, -9)), ("polyf2", "irreducible_factors", (-5,)),
+    ("polyf2", "bit_reverse", (-5, 3)), ("polyf2", "reciprocal", (-5,)),
+    ("polyf2", "is_self_reciprocal", (-5,)), ("polyf2", "to_text", (-1,)),
+    ("constraints", "check_reversible_single", (8, -17, 1, 0)),
+    ("constraints", "check_reversible_single", (8, 17, -1, 0)),
+    ("constraints", "check_reversible_single", (8, 17, 1, -2)),
+    ("constraints", "check_reversible_double", (8, -17, 1, 0, 1)),
+    ("constraints", "check_reversible_double", (8, 17, 1, 0, -3)),
+    ("constraints", "check_rc_single", (8, 17, 0, -1)),
+    ("constraints", "check_rc_double", (8, 17, -1, 0, 1)),
+    ("constraints", "check_rc_double", (8, 17, 1, 0, -3)),
+)
+
+NEGATIVE_PROBE = """
+import importlib, json, sys
+out = []
+for module, name, args in json.loads(sys.argv[1]):
+    fn = getattr(importlib.import_module("dnacyclic." + module), name)
+    try:
+        out.append(["returned", repr(fn(*args))])
+    except Exception as exc:
+        out.append([type(exc).__name__, str(exc)])
+print(json.dumps(out))
+"""
+
+
+def test_negative_polynomials_raise():
+    # In a fresh interpreter under a timeout, so that a call that spins
+    # again fails the test instead of hanging the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(polyf2.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", NEGATIVE_PROBE, json.dumps(NEGATIVE_CALLS)],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    outcomes = json.loads(run.stdout)
+    for call, (kind, text) in zip(NEGATIVE_CALLS, outcomes, strict=True):
+        assert kind == "ValueError" and "negative" in text, (call, kind, text)
 
 
 def test_divides():
